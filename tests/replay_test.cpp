@@ -8,18 +8,29 @@
 // reordered event, a changed constant — shows up here as a one-line diff
 // long before it would be noticed in aggregate experiment statistics.
 //
+// A second record pins a reduced Table-4 reproduction (collect -> linear
+// fit -> counterfactual evaluation): the training-table bytes, every
+// method's ranking per scenario, and the counterfactual durations and
+// accuracy rows as hex-floats. It guards the order-dependent parts of that
+// pipeline (training-log row order, Top-k and regret accumulation) against
+// any reordering, however the work is scheduled across threads.
+//
 // To regenerate after an *intended* behavior change:
 //   LTS_UPDATE_GOLDEN=1 ./replay_test
-// and commit the updated tests/golden/replay_golden.json with the change
-// that caused it.
+// and commit the updated tests/golden/*.json with the change that caused
+// it.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "core/trainer.hpp"
+#include "exp/collector.hpp"
 #include "exp/envgen.hpp"
+#include "exp/evaluate.hpp"
 #include "exp/scenario.hpp"
 #include "exp/stream.hpp"
 #include "util/json.hpp"
@@ -29,8 +40,52 @@ namespace {
 
 constexpr std::uint64_t kSeed = 4242;
 
-std::string golden_path() {
-  return std::string(LTS_SOURCE_DIR) + "/golden/replay_golden.json";
+std::string golden_path(const std::string& name) {
+  return std::string(LTS_SOURCE_DIR) + "/golden/" + name;
+}
+
+/// Compares `actual` byte-for-byte with the checked-in golden file `name`,
+/// or rewrites that file when LTS_UPDATE_GOLDEN is set.
+void expect_matches_golden(const std::string& name, const std::string& actual) {
+  const std::string path = golden_path(name);
+  if (std::getenv("LTS_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    GTEST_SKIP() << "golden file regenerated at " << path;
+  }
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path
+                         << " — run with LTS_UPDATE_GOLDEN=1 to create it";
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string expected = buffer.str();
+
+  // Byte-identical, including float formatting.
+  EXPECT_EQ(actual, expected)
+      << name << " diverged from the golden record; if this change in "
+      << "behavior is intended, regenerate with LTS_UPDATE_GOLDEN=1 and "
+      << "commit the new golden file";
+}
+
+/// Exact text form of a double ("%a"): the golden diff shows any last-bit
+/// change instead of hiding it behind decimal rounding.
+std::string hex_float(double x) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
+}
+
+std::string fnv1a_hex(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
 }
 
 Json snapshot_to_json(const telemetry::ClusterSnapshot& snapshot) {
@@ -107,34 +162,85 @@ Json build_replay_record() {
 }
 
 TEST(GoldenReplay, DefaultConfigMatchesCheckedInTrace) {
-  const std::string actual = build_replay_record().dump(2) + "\n";
-
-  if (std::getenv("LTS_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path());
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path();
-    out << actual;
-    GTEST_SKIP() << "golden file regenerated at " << golden_path();
-  }
-
-  std::ifstream in(golden_path());
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << golden_path()
-      << " — run with LTS_UPDATE_GOLDEN=1 to create it";
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string expected = buffer.str();
-
-  // Byte-identical, including float formatting (%.17g round-trips exactly).
-  EXPECT_EQ(actual, expected)
-      << "default-config replay diverged from the golden trace; if this "
-         "change in behavior is intended, regenerate with "
-         "LTS_UPDATE_GOLDEN=1 and commit the new golden file";
+  expect_matches_golden("replay_golden.json",
+                        build_replay_record().dump(2) + "\n");
 }
 
 TEST(GoldenReplay, RecordIsItselfDeterministic) {
   // Guard against the golden record depending on anything besides the seed
   // (wall clock, address ordering, global state left by other tests).
   EXPECT_EQ(build_replay_record().dump(2), build_replay_record().dump(2));
+}
+
+/// The reduced Table-4 record: 4 configs x 6 nodes x 1 repeat collected,
+/// a linear fit, then 6 evaluation scenarios with single-run counterfactual
+/// truth and both telemetry heuristics.
+Json build_table4_record() {
+  auto matrix = exp::paper_scenario_matrix();
+  matrix.resize(4);
+  exp::CollectorOptions collect;
+  collect.repeats = 1;
+  const CsvTable log = exp::collect_training_data(matrix, collect);
+  std::ostringstream csv;
+  log.write(csv);
+
+  Json record = Json::object();
+  Json training = Json::object();
+  training["rows"] = static_cast<double>(log.num_rows());
+  training["csv_fnv1a"] = fnv1a_hex(csv.str());
+  record["training"] = training;
+
+  const auto data = core::Trainer::dataset_from_log(log);
+  std::vector<std::pair<std::string, std::shared_ptr<const ml::Regressor>>>
+      models;
+  models.emplace_back("linear", std::shared_ptr<const ml::Regressor>(
+                                    core::Trainer::train("linear", data)));
+  exp::EvalOptions eval;
+  eval.num_scenarios = 6;
+  eval.truth_repeats = 1;
+  eval.heuristics = {"least_cpu", "least_rtt"};
+  const auto result = exp::evaluate_methods(models, matrix, eval);
+
+  Json scenarios = Json::array();
+  for (const auto& outcome : result.outcomes) {
+    Json row = Json::object();
+    row["scenario"] = outcome.scenario_id;
+    row["seed"] = static_cast<double>(outcome.seed);
+    Json durations = Json::array();
+    for (const double d : outcome.node_durations) {
+      durations.push_back(hex_float(d));
+    }
+    row["node_durations"] = durations;
+    row["fastest_node"] = static_cast<double>(outcome.fastest_node);
+    Json rankings = Json::object();
+    for (const auto& [method, ranking] : outcome.rankings) {
+      Json order = Json::array();
+      for (const std::size_t node : ranking) {
+        order.push_back(static_cast<double>(node));
+      }
+      rankings[method] = order;
+    }
+    row["rankings"] = rankings;
+    scenarios.push_back(row);
+  }
+  record["scenarios"] = scenarios;
+
+  Json accuracy = Json::array();
+  for (const auto& acc : result.accuracy) {
+    Json row = Json::object();
+    row["method"] = acc.method;
+    row["top1"] = hex_float(acc.top1);
+    row["top2"] = hex_float(acc.top2);
+    row["mean_regret"] = hex_float(acc.mean_regret);
+    accuracy.push_back(row);
+  }
+  record["accuracy"] = accuracy;
+  return record;
+}
+
+TEST(GoldenReplay, ReducedTable4MatchesCheckedInRecord) {
+  expect_matches_golden("table4_golden.json",
+                        build_table4_record().dump(2) + "\n");
 }
 
 }  // namespace
