@@ -62,18 +62,11 @@ TrainReport Trainer::train_and_evaluate(const std::string& model_name,
   report.train_rows = train_set.size();
   report.test_rows = test_set.size();
 
-  std::vector<double> train_pred;
-  train_pred.reserve(train_set.size());
-  for (std::size_t i = 0; i < train_set.size(); ++i) {
-    train_pred.push_back(model->predict_row(train_set.row(i)));
-  }
+  // Batched scoring: predict_batch is bit-identical to predict_row.
+  const std::vector<double> train_pred = model->predict(train_set.x());
   report.train_rmse = ml::rmse(train_set.y(), train_pred);
 
-  std::vector<double> test_pred;
-  test_pred.reserve(test_set.size());
-  for (std::size_t i = 0; i < test_set.size(); ++i) {
-    test_pred.push_back(model->predict_row(test_set.row(i)));
-  }
+  const std::vector<double> test_pred = model->predict(test_set.x());
   report.test_rmse = ml::rmse(test_set.y(), test_pred);
   report.test_mae = ml::mae(test_set.y(), test_pred);
   report.test_r2 = ml::r2_score(test_set.y(), test_pred);

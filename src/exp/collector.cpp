@@ -1,5 +1,9 @@
 #include "exp/collector.hpp"
 
+#include <mutex>
+
+#include "util/thread_pool.hpp"
+
 namespace lts::exp {
 
 std::uint64_t sample_seed(const CollectorOptions& options,
@@ -15,38 +19,54 @@ CsvTable collect_training_data(const std::vector<Scenario>& scenarios,
                                const CollectorOptions& options) {
   LTS_REQUIRE(!scenarios.empty(), "collect_training_data: no scenarios");
   LTS_REQUIRE(options.repeats >= 1, "collect_training_data: repeats >= 1");
-  core::TrainingLogger logger;
 
-  // Determine node count from a throwaway environment.
-  const std::size_t num_nodes =
-      SimEnv(options.base_seed, options.env).node_names().size();
-  const std::size_t total =
-      scenarios.size() * num_nodes * static_cast<std::size_t>(options.repeats);
+  std::size_t num_nodes = 0;
+  for (const auto& site : options.env.cluster_spec.sites) {
+    num_nodes += site.node_names.size();
+  }
+  const auto repeats = static_cast<std::size_t>(options.repeats);
+  const std::size_t total = scenarios.size() * num_nodes * repeats;
+
+  // One slot per sample, index = (scenario, target, repeat) in the order
+  // the training log lists them. Every sample is a pure function of its
+  // seed, so the samples run in any order on any thread; the log is then
+  // written serially in index order, byte-identical to a serial loop.
+  struct Sample {
+    telemetry::ClusterSnapshot snapshot;
+    spark::AppResult result;
+  };
+  std::vector<Sample> samples(total);
+  std::mutex progress_mutex;
   std::size_t done = 0;
-
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    for (std::size_t target = 0; target < num_nodes; ++target) {
-      for (int rep = 0; rep < options.repeats; ++rep) {
-        const std::uint64_t seed = sample_seed(options, s, target, rep);
-        SimEnv env(seed, options.env);
-        env.warmup();
-        if (options.residual_job) {
-          Rng residual_rng(seed ^ 0x4e51d0a1ULL);
-          const auto& warm = sample_scenario(scenarios, residual_rng);
-          const auto node = static_cast<std::size_t>(residual_rng.uniform_int(
-              0, static_cast<std::int64_t>(env.node_names().size()) - 1));
-          env.run_job(warm.config, node, seed ^ 0x4e51d0a2ULL);
-        }
-        const auto snapshot = env.snapshot();
-        const auto result =
-            env.run_job(scenarios[s].config, target, /*job_seed=*/seed ^
-                                                         0x5eedf00dULL);
-        logger.log_run(scenarios[s].id, snapshot, scenarios[s].config,
-                       result);
-        ++done;
-        if (options.progress) options.progress(done, total);
-      }
+  // lts-lint: shared-guarded(partitioned: sample i writes only samples[i]; scenarios/options are read-only, and the progress count is mutex-guarded)
+  ThreadPool::global().parallel_for(total, [&](std::size_t i) {
+    const std::size_t s = i / (num_nodes * repeats);
+    const std::size_t target = i / repeats % num_nodes;
+    const int rep = static_cast<int>(i % repeats);
+    const std::uint64_t seed = sample_seed(options, s, target, rep);
+    SimEnv env(seed, options.env);
+    env.warmup();
+    if (options.residual_job) {
+      Rng residual_rng(seed ^ 0x4e51d0a1ULL);
+      const auto& warm = sample_scenario(scenarios, residual_rng);
+      const auto node = static_cast<std::size_t>(residual_rng.uniform_int(
+          0, static_cast<std::int64_t>(env.node_names().size()) - 1));
+      env.run_job(warm.config, node, seed ^ 0x4e51d0a2ULL);
     }
+    samples[i].snapshot = env.snapshot();
+    samples[i].result = env.run_job(scenarios[s].config, target,
+                                    /*job_seed=*/seed ^ 0x5eedf00dULL);
+    if (options.progress) {
+      std::lock_guard lock(progress_mutex);
+      options.progress(++done, total);
+    }
+  });
+
+  core::TrainingLogger logger;
+  for (std::size_t i = 0; i < total; ++i) {
+    const Scenario& scenario = scenarios[i / (num_nodes * repeats)];
+    logger.log_run(scenario.id, samples[i].snapshot, scenario.config,
+                   samples[i].result);
   }
   return logger.table();
 }

@@ -27,11 +27,17 @@ struct CollectorOptions {
   /// bench_ext_e2e_stream). Off by default: the paper's batch workflow
   /// (§5.2) runs jobs in fresh conditions.
   bool residual_job = false;
-  /// Called after each sample with (samples done, samples total).
+  /// Called after each sample with (samples done, samples total). Calls
+  /// are serialized (never concurrent) and `done` runs 1, 2, ..., total
+  /// with no gaps or repeats, but a call may come from a pool thread, and
+  /// `done` counts finished samples, not which sample finished.
   std::function<void(std::size_t, std::size_t)> progress;
 };
 
 /// Runs the batch and returns the training log (TrainingLogger schema).
+/// Samples run concurrently on ThreadPool::global(); the log lists them in
+/// (scenario, target node, repeat) order and is byte-identical for every
+/// pool size.
 CsvTable collect_training_data(const std::vector<Scenario>& scenarios,
                                const CollectorOptions& options);
 

@@ -1,11 +1,13 @@
 #include "exp/evaluate.hpp"
 
 #include <algorithm>
+#include <mutex>
 
 #include "core/scheduler.hpp"
 #include "ml/metrics.hpp"
 #include "obs/metrics.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lts::exp {
 
@@ -40,6 +42,108 @@ bool hit_topk(const std::vector<std::size_t>& ranking, std::size_t fastest,
   return false;
 }
 
+bool known_heuristic(const std::string& h) {
+  return h == "least_cpu" || h == "least_rtt";
+}
+
+/// Scenario s of the evaluation: every method's ranking from the state at
+/// warmup time, then the counterfactual truth. A pure function of
+/// (options, s), so scenarios may run concurrently.
+ScenarioOutcome evaluate_scenario(const std::vector<MethodUnderTest>& models,
+                                  const std::vector<Scenario>& matrix,
+                                  const EvalOptions& options, std::size_t s) {
+  const std::uint64_t seed =
+      options.base_seed + 7919ULL * static_cast<std::uint64_t>(s);
+  Rng pick_rng(seed ^ 0xabcdef12ULL);
+  const Scenario& scenario = sample_scenario(matrix, pick_rng);
+  const std::uint64_t job_seed = seed ^ 0x5eedf00dULL;
+
+  ScenarioOutcome outcome;
+  outcome.scenario_id = scenario.id;
+  outcome.seed = seed;
+  std::size_t n = 0;
+
+  // --- method rankings, all from the state at warmup time -------------
+  {
+    SimEnv env(seed, options.env);
+    env.warmup();
+    const auto snapshot = env.snapshot();
+    n = env.node_names().size();
+
+    // Baseline: the default Kubernetes scheduler's ranking for the
+    // driver pod (resource-requests only, network-blind).
+    const auto kube = env.kube_ranking(scenario.config);
+    std::vector<std::size_t> kube_rank;
+    for (const auto& scored : kube.ranking) {
+      kube_rank.push_back(env.cluster().node_index(scored.name));
+    }
+    outcome.rankings["kube_default"] = std::move(kube_rank);
+
+    // Baseline: uniform random order.
+    std::vector<std::size_t> random_rank(n);
+    for (std::size_t i = 0; i < n; ++i) random_rank[i] = i;
+    Rng shuffle_rng(seed ^ 0x12341234ULL);
+    shuffle_rng.shuffle(random_rank);
+    outcome.rankings["random"] = std::move(random_rank);
+
+    // Telemetry heuristics (ablation baselines; names checked up front).
+    for (const auto& h : options.heuristics) {
+      std::vector<double> keys(n, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto& t = snapshot.nodes[i];
+        keys[i] = h == "least_cpu" ? t.cpu_load : t.rtt_mean;
+      }
+      outcome.rankings[h] = rank_by(keys);
+    }
+
+    // Supervised models: the paper's prediction-and-ranking pipeline.
+    // Every method ranks from the same raw snapshot; degradation-enabled
+    // methods see it through their staleness annotation/imputation first.
+    for (const auto& entry : models) {
+      core::LtsScheduler scheduler(
+          core::TelemetryFetcher(env.tsdb(), env.node_names(),
+                                 options.env.snapshot, entry.degradation),
+          entry.model, entry.features, entry.risk_aversion, entry.fallback);
+      auto method_snapshot = snapshot;
+      if (entry.degradation.enabled) {
+        telemetry::annotate_staleness(method_snapshot,
+                                      entry.degradation.max_staleness);
+        if (entry.degradation.impute) {
+          telemetry::impute_stale_nodes(method_snapshot);
+        }
+      }
+      const auto decision =
+          scheduler.schedule_from_snapshot(method_snapshot, scenario.config);
+      std::vector<std::size_t> ranked;
+      ranked.reserve(decision.ranking.size());
+      for (const auto& p : decision.ranking) {
+        ranked.push_back(env.cluster().node_index(p.node));
+      }
+      outcome.rankings[entry.name] = std::move(ranked);
+    }
+  }
+
+  // --- counterfactual ground truth -------------------------------------
+  for (std::size_t node = 0; node < n; ++node) {
+    double total = 0.0;
+    for (int rep = 0; rep < options.truth_repeats; ++rep) {
+      SimEnv env(seed, options.env);
+      env.warmup();
+      const auto run = env.run_job(
+          scenario.config, node,
+          job_seed + 0x9e3779b9ULL * static_cast<std::uint64_t>(rep));
+      total += run.duration();
+    }
+    outcome.node_durations.push_back(
+        total / static_cast<double>(options.truth_repeats));
+  }
+  outcome.fastest_node = static_cast<std::size_t>(
+      std::min_element(outcome.node_durations.begin(),
+                       outcome.node_durations.end()) -
+      outcome.node_durations.begin());
+  return outcome;
+}
+
 }  // namespace
 
 EvalResult evaluate_methods(
@@ -57,126 +161,49 @@ EvalResult evaluate_methods(
 EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
                             const std::vector<Scenario>& matrix,
                             const EvalOptions& options) {
+  // Every input check runs here, before any scenario warms up: inside the
+  // fan-out a bad option would throw from a worker after other scenarios
+  // had already run.
   LTS_REQUIRE(options.num_scenarios >= 1, "evaluate_methods: no scenarios");
-  EvalResult result;
-
+  LTS_REQUIRE(options.truth_repeats >= 1,
+              "evaluate_methods: truth_repeats >= 1");
   std::vector<std::string> method_order = {"kube_default", "random"};
-  for (const auto& h : options.heuristics) method_order.push_back(h);
+  for (const auto& h : options.heuristics) {
+    LTS_REQUIRE(known_heuristic(h),
+                "evaluate_methods: unknown heuristic " + h);
+    method_order.push_back(h);
+  }
   for (const auto& entry : models) {
     LTS_REQUIRE(entry.fallback.enabled ||
                     (entry.model != nullptr && entry.model->is_fitted()),
                 "evaluate_methods: model '" + entry.name + "' not fitted");
     method_order.push_back(entry.name);
   }
-  std::map<std::string, int> top1_hits, top2_hits;
-  std::map<std::string, double> regret_sum;
 
+  // One slot per scenario. Scenarios run in any order on any thread; the
+  // Top-k counts and regret sums below are accumulated serially in
+  // scenario order, so every figure matches a serial loop bit for bit.
+  const auto total = static_cast<std::size_t>(options.num_scenarios);
+  EvalResult result;
+  result.outcomes.resize(total);
   obs::Counter& scenarios_counter = obs::counter(
       "lts_eval_scenarios_total", {},
       "Evaluation scenarios completed (counterfactual truth computed)");
-  for (int s = 0; s < options.num_scenarios; ++s) {
+  std::mutex progress_mutex;
+  std::size_t done = 0;
+  // lts-lint: shared-guarded(partitioned: scenario s writes only result.outcomes[s]; models/matrix/options are read-only, the counter is atomic and the progress count is mutex-guarded)
+  ThreadPool::global().parallel_for(total, [&](std::size_t s) {
+    result.outcomes[s] = evaluate_scenario(models, matrix, options, s);
     scenarios_counter.inc();
-    const std::uint64_t seed =
-        options.base_seed + 7919ULL * static_cast<std::uint64_t>(s);
-    Rng pick_rng(seed ^ 0xabcdef12ULL);
-    const Scenario& scenario = sample_scenario(matrix, pick_rng);
-    const std::uint64_t job_seed = seed ^ 0x5eedf00dULL;
-
-    ScenarioOutcome outcome;
-    outcome.scenario_id = scenario.id;
-    outcome.seed = seed;
-
-    // --- method rankings, all from the state at warmup time -------------
-    {
-      SimEnv env(seed, options.env);
-      env.warmup();
-      const auto snapshot = env.snapshot();
-      const std::size_t n = env.node_names().size();
-
-      // Baseline: the default Kubernetes scheduler's ranking for the
-      // driver pod (resource-requests only, network-blind).
-      const auto kube = env.kube_ranking(scenario.config);
-      std::vector<std::size_t> kube_rank;
-      for (const auto& scored : kube.ranking) {
-        kube_rank.push_back(env.cluster().node_index(scored.name));
-      }
-      outcome.rankings["kube_default"] = std::move(kube_rank);
-
-      // Baseline: uniform random order.
-      std::vector<std::size_t> random_rank(n);
-      for (std::size_t i = 0; i < n; ++i) random_rank[i] = i;
-      Rng shuffle_rng(seed ^ 0x12341234ULL);
-      shuffle_rng.shuffle(random_rank);
-      outcome.rankings["random"] = std::move(random_rank);
-
-      // Telemetry heuristics (ablation baselines).
-      for (const auto& h : options.heuristics) {
-        std::vector<double> keys(n, 0.0);
-        for (std::size_t i = 0; i < n; ++i) {
-          const auto& t = snapshot.nodes[i];
-          if (h == "least_cpu") {
-            keys[i] = t.cpu_load;
-          } else if (h == "least_rtt") {
-            keys[i] = t.rtt_mean;
-          } else {
-            throw Error("evaluate_methods: unknown heuristic " + h);
-          }
-        }
-        outcome.rankings[h] = rank_by(keys);
-      }
-
-      // Supervised models: the paper's prediction-and-ranking pipeline.
-      // Every method ranks from the same raw snapshot; degradation-enabled
-      // methods see it through their staleness annotation/imputation first.
-      for (const auto& entry : models) {
-        core::LtsScheduler scheduler(
-            core::TelemetryFetcher(env.tsdb(), env.node_names(),
-                                   options.env.snapshot, entry.degradation),
-            entry.model, entry.features, entry.risk_aversion,
-            entry.fallback);
-        auto method_snapshot = snapshot;
-        if (entry.degradation.enabled) {
-          telemetry::annotate_staleness(method_snapshot,
-                                        entry.degradation.max_staleness);
-          if (entry.degradation.impute) {
-            telemetry::impute_stale_nodes(method_snapshot);
-          }
-        }
-        const auto decision =
-            scheduler.schedule_from_snapshot(method_snapshot, scenario.config);
-        std::vector<std::size_t> ranked;
-        ranked.reserve(decision.ranking.size());
-        for (const auto& p : decision.ranking) {
-          ranked.push_back(env.cluster().node_index(p.node));
-        }
-        outcome.rankings[entry.name] = std::move(ranked);
-      }
+    if (options.progress) {
+      std::lock_guard lock(progress_mutex);
+      options.progress(++done, total);
     }
+  });
 
-    // --- counterfactual ground truth -------------------------------------
-    {
-      LTS_REQUIRE(options.truth_repeats >= 1,
-                  "evaluate_methods: truth_repeats >= 1");
-      std::size_t n_nodes = SimEnv(seed, options.env).node_names().size();
-      for (std::size_t node = 0; node < n_nodes; ++node) {
-        double total = 0.0;
-        for (int rep = 0; rep < options.truth_repeats; ++rep) {
-          SimEnv env(seed, options.env);
-          env.warmup();
-          const auto run = env.run_job(
-              scenario.config, node,
-              job_seed + 0x9e3779b9ULL * static_cast<std::uint64_t>(rep));
-          total += run.duration();
-        }
-        outcome.node_durations.push_back(
-            total / static_cast<double>(options.truth_repeats));
-      }
-      outcome.fastest_node = static_cast<std::size_t>(
-          std::min_element(outcome.node_durations.begin(),
-                           outcome.node_durations.end()) -
-          outcome.node_durations.begin());
-    }
-
+  std::map<std::string, int> top1_hits, top2_hits;
+  std::map<std::string, double> regret_sum;
+  for (const auto& outcome : result.outcomes) {
     for (const auto& method : method_order) {
       const auto& ranking = outcome.rankings.at(method);
       if (hit_topk(ranking, outcome.fastest_node, 1)) ++top1_hits[method];
@@ -184,11 +211,6 @@ EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
       regret_sum[method] +=
           outcome.node_durations[ranking.front()] -
           outcome.node_durations[outcome.fastest_node];
-    }
-    result.outcomes.push_back(std::move(outcome));
-    if (options.progress) {
-      options.progress(static_cast<std::size_t>(s + 1),
-                       static_cast<std::size_t>(options.num_scenarios));
     }
   }
 

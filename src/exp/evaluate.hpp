@@ -66,6 +66,10 @@ struct EvalOptions {
   ///   "least_cpu"  — pick lowest load-average node (host-only heuristic)
   ///   "least_rtt"  — pick lowest mean-RTT node (network-only heuristic)
   std::vector<std::string> heuristics;
+  /// Called after each scenario with (scenarios done, scenarios total).
+  /// Calls are serialized (never concurrent) and `done` runs 1, 2, ...,
+  /// total with no gaps or repeats, but a call may come from a pool thread,
+  /// and `done` counts finished scenarios, not which scenario finished.
   std::function<void(std::size_t, std::size_t)> progress;
 };
 
@@ -97,7 +101,9 @@ struct EvalResult {
 };
 
 /// Evaluates all methods on `num_scenarios` fresh scenarios drawn from the
-/// matrix.
+/// matrix. Options are validated before any scenario runs. Scenarios run
+/// concurrently on ThreadPool::global(); outcomes and accuracy rows are
+/// merged in scenario order and are bit-identical for every pool size.
 EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
                             const std::vector<Scenario>& matrix,
                             const EvalOptions& options);

@@ -43,11 +43,7 @@ CvResult cross_validate(
     const Dataset test = data.select(test_idx);
     auto model = factory();
     model->fit(train);
-    std::vector<double> preds;
-    preds.reserve(test.size());
-    for (std::size_t i = 0; i < test.size(); ++i) {
-      preds.push_back(model->predict_row(test.row(i)));
-    }
+    const std::vector<double> preds = model->predict(test.x());
     result.fold_rmse.push_back(rmse(test.y(), preds));
     result.fold_r2.push_back(test.size() >= 2 ? r2_score(test.y(), preds)
                                               : 0.0);

@@ -13,6 +13,7 @@
 #include "core/scheduler.hpp"
 #include "core/trainer.hpp"
 #include "k8s/manifest.hpp"
+#include "ml/metrics.hpp"
 
 namespace lts::core {
 namespace {
@@ -293,6 +294,37 @@ TEST(Trainer, EvaluationReportsSaneMetrics) {
   EXPECT_GT(report.test_r2, 0.8);
   EXPECT_LT(report.test_rmse, 1.0);
   EXPECT_LE(report.train_rmse, report.test_rmse * 1.5);
+}
+
+TEST(Trainer, BatchedHoldoutScoringMatchesRowWise) {
+  // train_and_evaluate scores through predict_batch; every report figure
+  // must equal a row-by-row predict_row recomputation on the same split.
+  const auto data = synthetic_training_dataset(200, 13);
+  Json forest = Trainer::default_params("random_forest");
+  forest["n_estimators"] = 40;
+  const std::vector<std::pair<std::string, Json>> families = {
+      {"linear", Json()}, {"xgboost", Json()}, {"random_forest", forest}};
+  for (const auto& [name, params] : families) {
+    std::unique_ptr<ml::Regressor> model;
+    const auto report =
+        Trainer::train_and_evaluate(name, data, 0.25, 7, params, &model);
+    ASSERT_FALSE(report.skipped) << name;
+    ASSERT_NE(model, nullptr) << name;
+
+    Rng rng(7);
+    const auto [train_set, test_set] = data.train_test_split(0.25, rng);
+    std::vector<double> train_pred, test_pred;
+    for (std::size_t i = 0; i < train_set.size(); ++i) {
+      train_pred.push_back(model->predict_row(train_set.row(i)));
+    }
+    for (std::size_t i = 0; i < test_set.size(); ++i) {
+      test_pred.push_back(model->predict_row(test_set.row(i)));
+    }
+    EXPECT_EQ(report.train_rmse, ml::rmse(train_set.y(), train_pred)) << name;
+    EXPECT_EQ(report.test_rmse, ml::rmse(test_set.y(), test_pred)) << name;
+    EXPECT_EQ(report.test_mae, ml::mae(test_set.y(), test_pred)) << name;
+    EXPECT_EQ(report.test_r2, ml::r2_score(test_set.y(), test_pred)) << name;
+  }
 }
 
 TEST(Trainer, DefaultParamsUseLogTarget) {

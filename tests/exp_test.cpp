@@ -3,12 +3,15 @@
 // evaluation protocol.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/trainer.hpp"
 #include "exp/collector.hpp"
 #include "exp/envgen.hpp"
 #include "exp/evaluate.hpp"
 #include "exp/figures.hpp"
 #include "exp/scenario.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lts::exp {
 namespace {
@@ -161,14 +164,34 @@ TEST(Collector, ProducesExpectedSampleCount) {
   CollectorOptions options;
   options.repeats = 2;
   options.base_seed = 77;
-  std::size_t progress_calls = 0;
+  // The progress contract: serialized calls with done = 1, 2, ..., total.
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
   options.progress = [&](std::size_t done, std::size_t total) {
-    ++progress_calls;
-    EXPECT_LE(done, total);
+    calls.emplace_back(done, total);
   };
   const CsvTable log = collect_training_data(matrix, options);
   EXPECT_EQ(log.num_rows(), 2u * 6u * 2u);
-  EXPECT_EQ(progress_calls, log.num_rows());
+  ASSERT_EQ(calls.size(), log.num_rows());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].first, i + 1);
+    EXPECT_EQ(calls[i].second, log.num_rows());
+  }
+}
+
+TEST(Collector, PooledRunMatchesInlineRun) {
+  auto matrix = paper_scenario_matrix();
+  matrix.resize(2);
+  CollectorOptions options;
+  options.repeats = 1;
+  options.residual_job = true;
+  std::ostringstream pooled, inline_run;
+  collect_training_data(matrix, options).write(pooled);
+  // parallel_for runs inline on a worker of its own pool, so the same call
+  // made from inside a pool task is the serial loop.
+  ThreadPool::global()
+      .submit([&] { collect_training_data(matrix, options).write(inline_run); })
+      .get();
+  EXPECT_EQ(pooled.str(), inline_run.str());
 }
 
 TEST(Collector, CoversAllTargetNodes) {
@@ -280,6 +303,90 @@ TEST(Evaluate, DeterministicAcrossRuns) {
   for (std::size_t i = 0; i < a.accuracy.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.accuracy[i].top1, b.accuracy[i].top1);
     EXPECT_DOUBLE_EQ(a.accuracy[i].mean_regret, b.accuracy[i].mean_regret);
+  }
+}
+
+/// A linear model fitted on a 4-config, 1-repeat corpus.
+std::vector<std::pair<std::string, std::shared_ptr<const ml::Regressor>>>
+small_linear_model(const std::vector<Scenario>& matrix) {
+  CollectorOptions collect;
+  collect.repeats = 1;
+  const auto data =
+      core::Trainer::dataset_from_log(collect_training_data(matrix, collect));
+  std::vector<std::pair<std::string, std::shared_ptr<const ml::Regressor>>>
+      models;
+  models.emplace_back("linear", std::shared_ptr<const ml::Regressor>(
+                                    core::Trainer::train("linear", data)));
+  return models;
+}
+
+TEST(Evaluate, ProgressIsSerializedAndCountsEveryScenario) {
+  auto matrix = paper_scenario_matrix();
+  matrix.resize(4);
+  EvalOptions eval;
+  eval.num_scenarios = 5;
+  eval.truth_repeats = 1;
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+  eval.progress = [&](std::size_t done, std::size_t total) {
+    calls.emplace_back(done, total);
+  };
+  evaluate_methods(small_linear_model(matrix), matrix, eval);
+  ASSERT_EQ(calls.size(), 5u);
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].first, i + 1);
+    EXPECT_EQ(calls[i].second, 5u);
+  }
+}
+
+TEST(Evaluate, RejectsBadOptionsBeforeAnyScenarioRuns) {
+  auto matrix = paper_scenario_matrix();
+  matrix.resize(4);
+  const auto models = small_linear_model(matrix);
+  std::size_t progress_calls = 0;
+  EvalOptions eval;
+  eval.num_scenarios = 3;
+  eval.progress = [&](std::size_t, std::size_t) { ++progress_calls; };
+
+  EvalOptions no_truth = eval;
+  no_truth.truth_repeats = 0;
+  EXPECT_THROW(evaluate_methods(models, matrix, no_truth), Error);
+
+  EvalOptions bogus = eval;
+  bogus.truth_repeats = 1;
+  bogus.heuristics = {"least_cpu", "most_vibes"};
+  EXPECT_THROW(evaluate_methods(models, matrix, bogus), Error);
+  EXPECT_EQ(progress_calls, 0u);
+}
+
+TEST(Evaluate, PooledRunMatchesInlineRun) {
+  auto matrix = paper_scenario_matrix();
+  matrix.resize(4);
+  const auto models = small_linear_model(matrix);
+  EvalOptions eval;
+  eval.num_scenarios = 6;
+  eval.truth_repeats = 2;
+  eval.heuristics = {"least_cpu", "least_rtt"};
+  const auto pooled = evaluate_methods(models, matrix, eval);
+  // Inside a pool task parallel_for runs inline: the serial loop.
+  EvalResult serial;
+  ThreadPool::global()
+      .submit([&] { serial = evaluate_methods(models, matrix, eval); })
+      .get();
+  ASSERT_EQ(pooled.outcomes.size(), serial.outcomes.size());
+  for (std::size_t s = 0; s < pooled.outcomes.size(); ++s) {
+    const auto& a = pooled.outcomes[s];
+    const auto& b = serial.outcomes[s];
+    EXPECT_EQ(a.scenario_id, b.scenario_id);
+    EXPECT_EQ(a.node_durations, b.node_durations);  // exact doubles
+    EXPECT_EQ(a.fastest_node, b.fastest_node);
+    EXPECT_EQ(a.rankings, b.rankings);
+  }
+  ASSERT_EQ(pooled.accuracy.size(), serial.accuracy.size());
+  for (std::size_t i = 0; i < pooled.accuracy.size(); ++i) {
+    EXPECT_EQ(pooled.accuracy[i].method, serial.accuracy[i].method);
+    EXPECT_EQ(pooled.accuracy[i].top1, serial.accuracy[i].top1);
+    EXPECT_EQ(pooled.accuracy[i].top2, serial.accuracy[i].top2);
+    EXPECT_EQ(pooled.accuracy[i].mean_regret, serial.accuracy[i].mean_regret);
   }
 }
 

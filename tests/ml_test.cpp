@@ -656,6 +656,32 @@ TEST(Validate, CrossValidateSaneNumbers) {
   EXPECT_GT(cv.mean_r2, 0.95);
 }
 
+TEST(Validate, BatchedFoldScoringMatchesRowWise) {
+  // cross_validate scores each fold through predict_batch; the fold
+  // figures must equal a row-by-row predict_row recomputation.
+  const Dataset data = make_synthetic(300, 37);
+  Json params = Json::object();
+  params["n_rounds"] = 40;
+  const auto factory = [&] { return create_regressor("xgboost", params); };
+  const auto cv = cross_validate(factory, data, 3, 5);
+
+  Rng rng(5);
+  const auto folds = kfold_indices(data.size(), 3, rng);
+  ASSERT_EQ(cv.fold_rmse.size(), folds.size());
+  for (std::size_t f = 0; f < folds.size(); ++f) {
+    const Dataset train = data.select(folds[f].first);
+    const Dataset test = data.select(folds[f].second);
+    auto model = factory();
+    model->fit(train);
+    std::vector<double> preds;
+    for (std::size_t i = 0; i < test.size(); ++i) {
+      preds.push_back(model->predict_row(test.row(i)));
+    }
+    EXPECT_EQ(cv.fold_rmse[f], rmse(test.y(), preds)) << f;
+    EXPECT_EQ(cv.fold_r2[f], r2_score(test.y(), preds)) << f;
+  }
+}
+
 TEST(Validate, GridSearchPicksBetterParams) {
   const Dataset data = make_synthetic(800, 36);
   std::vector<Json> grid;

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <sstream>
 
 #include "core/scheduler.hpp"
+#include "exp/collector.hpp"
 #include "exp/envgen.hpp"
+#include "exp/evaluate.hpp"
 #include "exp/scenario.hpp"
 #include "exp/stream.hpp"
 #include "obs/metrics.hpp"
@@ -320,6 +323,54 @@ TEST(Instrumentation, EnabledRegistryDoesNotChangeStreamResults) {
   EXPECT_GE(obs::counter("lts_scheduler_decisions_total").value(), 4.0);
   EXPECT_GE(tracer.num_spans(), 4u);
   tracer.clear();
+}
+
+TEST(Instrumentation, ConcurrentCollectAndEvaluateCountExactly) {
+  // Collect and evaluate fan out over the thread pool. With the registry
+  // and tracer on, the shared counters must add up exactly, the tracer must
+  // stay untouched (neither loop opens a span; the scheduler's phase marks
+  // are no-ops without one), and the outputs must equal an unobserved run.
+  // Under the TSan build this test is the race check for those paths.
+  auto matrix = exp::paper_scenario_matrix();
+  matrix.resize(2);
+  exp::CollectorOptions collect;
+  collect.repeats = 1;
+  std::vector<exp::MethodUnderTest> methods = {
+      {"constant", std::make_shared<ConstantModel>()}};
+  exp::EvalOptions eval;
+  eval.num_scenarios = 8;
+  eval.truth_repeats = 1;
+  eval.heuristics = {"least_cpu"};
+
+  std::ostringstream quiet_csv;
+  exp::collect_training_data(matrix, collect).write(quiet_csv);
+  const auto quiet = exp::evaluate_methods(methods, matrix, eval);
+
+  auto& registry = MetricsRegistry::global();
+  auto& tracer = Tracer::global();
+  registry.reset_values();
+  tracer.clear();
+  registry.set_enabled(true);
+  tracer.set_enabled(true);
+  std::ostringstream observed_csv;
+  exp::collect_training_data(matrix, collect).write(observed_csv);
+  const auto observed = exp::evaluate_methods(methods, matrix, eval);
+  registry.set_enabled(false);
+  tracer.set_enabled(false);
+
+  EXPECT_EQ(tracer.num_spans(), 0u);
+  EXPECT_EQ(obs::counter("lts_eval_scenarios_total").value(), 8.0);
+  EXPECT_EQ(obs::counter("lts_scheduler_decisions_total").value(), 8.0);
+  EXPECT_GT(obs::counter("lts_sim_events_processed_total").value(), 0.0);
+  registry.reset_values();
+
+  EXPECT_EQ(observed_csv.str(), quiet_csv.str());
+  ASSERT_EQ(observed.outcomes.size(), quiet.outcomes.size());
+  for (std::size_t s = 0; s < quiet.outcomes.size(); ++s) {
+    EXPECT_EQ(observed.outcomes[s].node_durations,
+              quiet.outcomes[s].node_durations);
+    EXPECT_EQ(observed.outcomes[s].rankings, quiet.outcomes[s].rankings);
+  }
 }
 
 }  // namespace
