@@ -42,10 +42,6 @@ bool hit_topk(const std::vector<std::size_t>& ranking, std::size_t fastest,
   return false;
 }
 
-bool known_heuristic(const std::string& h) {
-  return h == "least_cpu" || h == "least_rtt";
-}
-
 /// Scenario s of the evaluation: every method's ranking from the state at
 /// warmup time, then the counterfactual truth. A pure function of
 /// (options, s), so scenarios may run concurrently.
@@ -169,7 +165,7 @@ EvalResult evaluate_methods(const std::vector<MethodUnderTest>& models,
               "evaluate_methods: truth_repeats >= 1");
   std::vector<std::string> method_order = {"kube_default", "random"};
   for (const auto& h : options.heuristics) {
-    LTS_REQUIRE(known_heuristic(h),
+    LTS_REQUIRE(h == "least_cpu" || h == "least_rtt",
                 "evaluate_methods: unknown heuristic " + h);
     method_order.push_back(h);
   }
