@@ -96,64 +96,9 @@ Decision LtsScheduler::schedule(const spark::JobConfig& config,
 Decision LtsScheduler::schedule_from_snapshot(
     const telemetry::ClusterSnapshot& snapshot,
     const spark::JobConfig& config) const {
-  obs::Tracer& tracer = obs::Tracer::global();
-  auto& metrics = SchedulerMetrics::get();
-  metrics.decisions.inc();
-  // One pointer snapshot per decision: every node in this ranking is
-  // scored by the same model even if a hot-swap lands mid-decision.
-  const std::shared_ptr<const ml::Regressor> model = current_model();
-  const bool model_usable = model != nullptr && model->is_fitted();
-  if (fallback_.enabled) {
-    std::size_t fresh = 0;
-    for (const auto& node : snapshot.nodes) {
-      if (!node.stale) ++fresh;
-    }
-    const bool snapshot_trusted =
-        !snapshot.nodes.empty() &&
-        static_cast<double>(fresh) >=
-            fallback_.min_fresh_fraction *
-                static_cast<double>(snapshot.nodes.size());
-    if (!model_usable || !snapshot_trusted) {
-      metrics.fallbacks.inc();
-      Decision decision = fallback_rank(snapshot);
-      tracer.phase("rank", snapshot.at);
-      return decision;
-    }
-  }
-
-  Decision decision;
-  std::vector<std::vector<double>> rows;
-  rows.reserve(snapshot.nodes.size());
-  for (const auto& node : snapshot.nodes) {
-    rows.push_back(FeatureConstructor::build(node, config, features_));
-  }
-  tracer.phase("features", snapshot.at);
-
-  std::vector<NodePrediction> predictions;
-  predictions.reserve(snapshot.nodes.size());
-  for (std::size_t i = 0; i < snapshot.nodes.size(); ++i) {
-    const auto& node = snapshot.nodes[i];
-    double score;
-    if (risk_aversion_ > 0.0) {
-      const auto p = model->predict_with_uncertainty(rows[i]);
-      score = p.mean + risk_aversion_ * p.stddev;
-    } else {
-      score = model->predict_row(rows[i]);
-    }
-    if (fallback_.enabled && fallback_.demote_stale && node.stale) {
-      score += kStaleDemotionPenalty;
-      ++decision.stale_demoted;
-    }
-    predictions.push_back(NodePrediction{node.node, score});
-  }
-  tracer.phase("predict", snapshot.at);
-
-  const int stale_demoted = decision.stale_demoted;
-  decision = DecisionModule::rank(std::move(predictions));
-  decision.stale_demoted = stale_demoted;
-  if (stale_demoted > 0) metrics.stale_demoted.inc(stale_demoted);
-  tracer.phase("rank", snapshot.at);
-  return decision;
+  return schedule_batch(snapshot, {&config, 1}, /*own_spans=*/false,
+                        snapshot.at)
+      .front();
 }
 
 std::vector<Decision> LtsScheduler::schedule_many(
@@ -199,7 +144,7 @@ std::vector<Decision> LtsScheduler::schedule_batch(
 
   // One row-major feature block over every (pod, node) candidate, one
   // batched predict. Rows are grouped by config, nodes in snapshot order
-  // within each group — the same per-row vectors the scalar path builds.
+  // within each group.
   //
   // Queues are full of replicas: a deployment submits N pods with one spec,
   // and the workload model draws from a handful of app templates, so many

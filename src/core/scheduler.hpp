@@ -60,7 +60,8 @@ class LtsScheduler {
   Decision schedule(const spark::JobConfig& config, SimTime now) const;
 
   /// Like schedule(), but from a pre-fetched snapshot (used when the caller
-  /// already logged the same snapshot).
+  /// already logged the same snapshot). A queue of one through the batched
+  /// body: there is no second, row-by-row ranking path.
   Decision schedule_from_snapshot(const telemetry::ClusterSnapshot& snapshot,
                                   const spark::JobConfig& config) const;
 
@@ -69,9 +70,10 @@ class LtsScheduler {
   /// (pod, node) candidate, one batched model prediction. The decision
   /// sequence (nodes, scores, fallback/demotion flags, trace spans, metric
   /// counts) is bit-identical to calling schedule() once per config at the
-  /// same `now`: predict_batch reproduces predict_row exactly, and the
-  /// cached snapshot is keyed on (TSDB epoch, now) so it equals a fresh
-  /// fetch by construction.
+  /// same `now`: predict_batch scores each row independently of the rest
+  /// of the block (and bit-identically to predict_row), and the cached
+  /// snapshot is keyed on (TSDB epoch, now) so it equals a fresh fetch by
+  /// construction.
   std::vector<Decision> schedule_many(
       std::span<const spark::JobConfig> configs, SimTime now) const;
 
@@ -109,10 +111,11 @@ class LtsScheduler {
   /// the snapshot cannot be trusted.
   Decision fallback_rank(const telemetry::ClusterSnapshot& snapshot) const;
 
-  /// Shared body of the two batched entry points. With `own_spans`, every
-  /// decision opens (or joins) a "schedule" span beginning at `span_begin`
-  /// and marks a "fetch" phase first — mirroring schedule(); without, only
-  /// the pipeline phases are marked — mirroring schedule_from_snapshot.
+  /// The one ranking body behind every entry point. With `own_spans`,
+  /// every decision opens (or joins) a "schedule" span beginning at
+  /// `span_begin` and marks a "fetch" phase first — as schedule() does;
+  /// without, only the pipeline phases are marked, on whatever span the
+  /// caller has open.
   std::vector<Decision> schedule_batch(
       const telemetry::ClusterSnapshot& snapshot,
       std::span<const spark::JobConfig> configs, bool own_spans,

@@ -26,46 +26,57 @@ void FlatEnsemble::accumulate(const double* x, std::size_t rows,
 template <bool kSeed>
 void FlatEnsemble::walk_block(const double* x, std::size_t rows,
                               std::size_t cols, double* out) const {
-  // Row blocking keeps a batch of rows cache-resident while trees stream
-  // past them; per row, trees still accumulate in tree order (the loop over
-  // trees is outside the accumulation into out[r]), so the sum order — and
-  // therefore every bit of the result — matches the pointer walk.
-  constexpr std::size_t kBlock = 128;
-  std::uint32_t idx[kBlock];         // tree-local node index per lane
-  std::uint32_t lanes[2][kBlock];    // active-lane lists, swapped per step
-  const double* xrow[kBlock];  // per-lane row base, hoisted out of the walk
+  // A lane is one (tree, row) walk; a block of bn rows walks a group of
+  // kLanes / bn trees at once so that small blocks still keep ~kLanes node
+  // loads in flight (see flat.hpp). Per row the leaf values are added
+  // after the group's walk, tree by tree in tree order, so the sum order —
+  // and therefore every bit of the result — matches the pointer walk.
+  std::uint32_t cur[kLanes];         // global node index per lane
+  std::uint32_t base[kLanes];        // the lane's tree offset into nodes_
+  const double* xrow[kLanes];        // the lane's row, hoisted out of the walk
+  std::uint32_t lanes[2][kLanes];    // active-lane lists, swapped per step
+  const FlatNode* const nodes = nodes_.data();
   const std::size_t n_trees = tree_base_.size();
-  for (std::size_t r0 = 0; r0 < rows; r0 += kBlock) {
-    const std::size_t bn = std::min(kBlock, rows - r0);
-    for (std::size_t i = 0; i < bn; ++i) {
-      if constexpr (kSeed) out[r0 + i] = init_;
-      xrow[i] = x + (r0 + i) * cols;
+  for (std::size_t r0 = 0; r0 < rows; r0 += kLanes) {
+    const std::size_t bn = std::min(kLanes, rows - r0);
+    const std::size_t group = kLanes / bn;
+    // Lane k * bn + i walks tree k of the group over row i.
+    for (std::size_t lane = 0; lane < group * bn; ++lane) {
+      xrow[lane] = x + (r0 + lane % bn) * cols;
     }
-    for (std::size_t t = 0; t < n_trees; ++t) {
-      const auto base = static_cast<std::size_t>(tree_base_[t]);
-      const FlatNode* const tree = nodes_.data() + base;
-      const double* const values = value_.data() + base;
-      const std::int32_t depth = depths_[t];
-      // A lane whose row has reached its leaf would only re-select that
+    if constexpr (kSeed) {
+      for (std::size_t i = 0; i < bn; ++i) out[r0 + i] = init_;
+    }
+    for (std::size_t t0 = 0; t0 < n_trees; t0 += group) {
+      const std::size_t ng = std::min(group, n_trees - t0);
+      std::int32_t depth = 0;
+      std::uint32_t* active = lanes[0];
+      std::uint32_t* parked = lanes[1];
+      for (std::size_t k = 0; k < ng; ++k) {
+        const auto root = static_cast<std::uint32_t>(tree_base_[t0 + k]);
+        depth = std::max(depth, depths_[t0 + k]);
+        for (std::size_t i = 0; i < bn; ++i) {
+          const std::size_t lane = k * bn + i;
+          cur[lane] = root;
+          base[lane] = root;
+          active[lane] = static_cast<std::uint32_t>(lane);
+        }
+      }
+      // A lane whose walk has reached its leaf would only re-select that
       // leaf on every remaining step (self-loop), so each step rebuilds
       // the active list and drops parked lanes — in unbalanced trees the
       // mean leaf depth sits well below the max, and once a lane parks,
       // no later step can move it again (leaves self-loop), so dropping
-      // is exact, not heuristic. idx[] keeps the final leaf of every
+      // is exact, not heuristic. A lane of a shallower tree in the group
+      // parks early the same way. cur[] keeps the final leaf of every
       // lane for the value gather below.
-      std::uint32_t* active = lanes[0];
-      std::uint32_t* parked = lanes[1];
-      std::size_t na = bn;
-      for (std::size_t i = 0; i < bn; ++i) {
-        idx[i] = 0;  // local root
-        active[i] = static_cast<std::uint32_t>(i);
-      }
+      std::size_t na = ng * bn;
       for (std::int32_t step = 0; step < depth && na != 0; ++step) {
         std::size_t na2 = 0;
         for (std::size_t j = 0; j < na; ++j) {
           const std::uint32_t lane = active[j];
-          const std::uint32_t cur = idx[lane];
-          const FlatNode& n = tree[cur];
+          const std::uint32_t at = cur[lane];
+          const FlatNode& n = nodes[at];
           const std::uint64_t m = n.meta;
           const double xv = xrow[lane][m & 0xffff];
           const auto left = static_cast<std::uint32_t>((m >> 16) & 0xffff);
@@ -80,16 +91,19 @@ void FlatEnsemble::walk_block(const double* x, std::size_t rows,
           // plus a conditional advance of the list length.
           const std::uint32_t go =
               0U - static_cast<std::uint32_t>(xv <= n.threshold);
-          const std::uint32_t next = ((left ^ right) & go) ^ right;
-          idx[lane] = next;
+          const std::uint32_t next =
+              base[lane] + (((left ^ right) & go) ^ right);
+          cur[lane] = next;
           parked[na2] = lane;
-          na2 += (next != cur);
+          na2 += (next != at);
         }
         std::swap(active, parked);
         na = na2;
       }
       for (std::size_t i = 0; i < bn; ++i) {
-        out[r0 + i] += values[idx[i]];
+        double sum = out[r0 + i];
+        for (std::size_t k = 0; k < ng; ++k) sum += value_[cur[k * bn + i]];
+        out[r0 + i] = sum;
       }
     }
     // Division by the default 1.0 is exact, so the non-forest cases pay no

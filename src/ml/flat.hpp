@@ -8,9 +8,15 @@
 // every tree of the ensemble into one contiguous array of 16-byte nodes —
 // the split threshold plus tree-LOCAL int16 feature/child indices, so a
 // whole tree (up to 32k nodes) stays small enough to sit in L1 while a
-// block of rows walks it — and traverses a block of rows through one tree
-// at a time with a branchless inner loop:
+// block of rows walks it — and traverses a block of rows through a group
+// of trees at a time with a branchless inner loop:
 //
+//   - a lane is one (tree, row) walk; a block of bn rows walks
+//     kLanes / bn trees together, so even a one-decision block (six
+//     candidate rows) keeps ~kLanes independent node loads in flight — a
+//     deep forest outgrows the cache, and overlapping the walks' misses is
+//     what makes a small block cheap; blocks of more than kLanes / 2 rows
+//     walk one tree at a time;
 //   - leaves are rewritten to self-loops (left == right == self) with probe
 //     feature 0 and threshold +inf, so iterating each tree up to `depth`
 //     times lands every row on its leaf with only in-bounds loads and no
@@ -19,10 +25,11 @@
 //   - leaf values live in a parallel array read once per (tree, row) after
 //     the walk, keeping the per-step working set at 16 bytes per node;
 //   - per row the tree values accumulate in tree order starting from
-//     `init`, then divide by `divisor`, reproducing the exact floating-
-//     point accumulation of the pointer walk: the forest's
-//     (t0 + t1 + ...)/n and the GBT's ((base + t0) + t1) + ... are summed
-//     in the same order, so predictions are bit-identical, not just close.
+//     `init` (after each group's walk, tree by tree), then divide by
+//     `divisor`, reproducing the exact floating-point accumulation of the
+//     pointer walk: the forest's (t0 + t1 + ...)/n and the GBT's
+//     ((base + t0) + t1) + ... are summed in the same order, so
+//     predictions are bit-identical, not just close.
 //
 // Ensembles rebuild their FlatEnsemble eagerly at the end of fit/refit/
 // from_json; it is derived state and is never serialized. A tree too large
@@ -59,6 +66,11 @@ class FlatEnsemble {
 
   /// Largest tree representable with int16 local child indices.
   static constexpr std::size_t kMaxTreeNodes = 32767;
+
+  /// Walks in flight per kernel pass: a block of up to kLanes rows walks
+  /// kLanes / rows trees at once. Chosen by measurement on the 800-tree
+  /// default forest (a 6-row decision); 64 and 256 were no faster.
+  static constexpr std::size_t kLanes = 128;
 
   void clear();
 

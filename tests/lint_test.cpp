@@ -305,6 +305,18 @@ TEST(LintR8, FiresInsideDeclaredHotFunctionsOnly) {
   EXPECT_FALSE(has_diag(diags, "R8", line_of(text, "out.push_back(scratch[i])")));
 }
 
+TEST(LintR8, FlattenedForestKernelIsHotPath) {
+  const std::string text = read_fixture("r8_walk_block.cpp");
+  const auto diags = lint_text("src/ml/fixture.cpp", text);
+  const std::size_t hot_new = line_of(text, "new std::uint32_t[rows]");
+  const std::size_t hot_push = line_of(text, "active.push_back");
+  EXPECT_TRUE(has_diag(diags, "R8", hot_new));
+  EXPECT_TRUE(has_diag(diags, "R8", hot_push));
+  // walk_slow repeats the body under a name off the hot list.
+  EXPECT_EQ(count_rule(diags, "R8"), 2u);
+  EXPECT_EQ(diags.size(), 2u);
+}
+
 // ------------------------------------------------------- cross-file tree ----
 
 TEST(LintTree, CrossFileIndexResolvesCompanionsAndAccess) {

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "core/online_trainer.hpp"
 #include "core/trainer.hpp"
@@ -14,6 +16,7 @@
 #include "exp/scenario.hpp"
 #include "exp/stream.hpp"
 #include "fault/fault.hpp"
+#include "ml/metrics.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -224,6 +227,59 @@ TEST(OnlineTrainer, HoldoutGateRejectsWeakCandidate) {
   ASSERT_TRUE(event.has_value());
   EXPECT_EQ(event->outcome, core::RetrainOutcome::kSwapped);
   EXPECT_EQ(ungated.model_version(), 1u);
+}
+
+TEST(OnlineTrainer, BatchedHoldoutScoringMatchesRowWise) {
+  // The holdout and the champion/challenger gate score through
+  // predict_batch; both RMSEs must equal a row-by-row predict_row
+  // recomputation on the same split. Forests on both sides, so the
+  // flattened kernel (not the row-wise default) serves the batch.
+  auto options = base_options();
+  options.retrain_every = 40;
+  options.window_size = 40;
+  options.model_name = "random_forest";
+  options.warm_start = false;
+  options.holdout_fraction = 0.3;
+  options.holdout_gate_slack = 1e9;  // evaluate the gate, always swap
+  Json forest = core::Trainer::default_params("random_forest");
+  forest["n_estimators"] = 60;
+  options.params = forest;
+
+  Rng rng(81);
+  ml::Dataset initial_data;
+  initial_data.set_feature_names(core::FeatureConstructor::feature_names());
+  for (int i = 0; i < 120; ++i) {
+    const auto r = synth_record(rng);
+    initial_data.add_row(core::FeatureConstructor::build(r.telemetry, r.config),
+                         r.duration);
+  }
+  const std::shared_ptr<const ml::Regressor> initial(
+      core::Trainer::train("random_forest", initial_data, forest));
+  core::OnlineTrainer trainer(options, core::FeatureSet::kTable1, initial);
+
+  ml::Dataset window;
+  window.set_feature_names(core::FeatureConstructor::feature_names());
+  std::optional<core::RetrainEvent> event;
+  for (int i = 0; i < 40; ++i) {
+    const auto record = synth_record(rng);
+    window.add_row(
+        core::FeatureConstructor::build(record.telemetry, record.config),
+        record.duration);
+    event = trainer.on_completion(record, -1.0);
+  }
+  ASSERT_TRUE(event.has_value());
+  ASSERT_EQ(event->outcome, core::RetrainOutcome::kSwapped);
+
+  Rng split_rng(options.seed + 0);  // the split of model version 0
+  const auto [train_set, test_set] =
+      window.train_test_split(options.holdout_fraction, split_rng);
+  std::vector<double> candidate_pred, serving_pred;
+  for (std::size_t i = 0; i < test_set.size(); ++i) {
+    candidate_pred.push_back(trainer.model()->predict_row(test_set.row(i)));
+    serving_pred.push_back(initial->predict_row(test_set.row(i)));
+  }
+  EXPECT_EQ(event->holdout_rmse, ml::rmse(test_set.y(), candidate_pred));
+  EXPECT_EQ(event->serving_rmse, ml::rmse(test_set.y(), serving_pred));
 }
 
 TEST(OnlineTrainer, RetrainMetricsObserveDurationAndThroughput) {

@@ -7,14 +7,19 @@
 // demands bit-identical results — EXPECT_EQ on doubles, not EXPECT_NEAR.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "core/features.hpp"
 #include "core/fetcher.hpp"
 #include "core/scheduler.hpp"
+#include "core/trainer.hpp"
 #include "exp/envgen.hpp"
+#include "ml/flat.hpp"
 #include "ml/model.hpp"
+#include "ml/tree.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
@@ -83,9 +88,10 @@ void expect_batch_matches_rows(const Regressor& model,
 }
 
 TEST(PredictBatch, MatchesPredictRowForEveryFamily) {
-  // Block sizes straddle the kernel's internal tile (64): a lone row, a
-  // partial tile, exact, one-over, and two-tiles-plus-change.
-  const std::size_t sizes[] = {1, 7, 64, 65, 130};
+  // Block sizes straddle the kernel's lane budget (FlatEnsemble::kLanes,
+  // 128): a lone row, a decision-sized block, the last multi-tree group
+  // size, exact, one-over, and two-blocks-plus-change.
+  const std::size_t sizes[] = {1, 6, 7, 64, 65, 128, 129, 130};
   for (const auto& family : registered_regressors()) {
     for (const bool log_target : {false, true}) {
       Json params = Json::object();
@@ -174,6 +180,149 @@ TEST(PredictBatch, MatrixPredictAgreesWithBatch) {
   ASSERT_EQ(via_matrix.size(), via_batch.size());
   for (std::size_t r = 0; r < via_batch.size(); ++r) {
     EXPECT_EQ(via_matrix[r], via_batch[r]);
+  }
+}
+
+// ------------------------------------------ multi-tree lane groups ----
+
+/// A random tree in preorder (children after their parent, node 0 the
+/// root) — the layout try_add_tree requires. Leaf values span sixteen
+/// decades so any change in the per-row summation order changes bits.
+void grow_random_tree(std::vector<TreeNode>& nodes, Rng& rng,
+                      std::size_t cols, int depth_left) {
+  const std::size_t at = nodes.size();
+  nodes.emplace_back();
+  if (depth_left == 0 || (at != 0 && rng.uniform(0.0, 1.0) < 0.3)) {
+    nodes[at].value =
+        rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform_int(-8, 8));
+    return;
+  }
+  nodes[at].feature = static_cast<int>(
+      rng.uniform_int(0, static_cast<std::int64_t>(cols) - 1));
+  nodes[at].threshold = rng.uniform(-1.0, 1.0);
+  nodes[at].left = static_cast<int>(nodes.size());
+  grow_random_tree(nodes, rng, cols, depth_left - 1);
+  nodes[at].right = static_cast<int>(nodes.size());
+  grow_random_tree(nodes, rng, cols, depth_left - 1);
+}
+
+/// The scalar pointer walk the kernel must reproduce: one tree at a time,
+/// `x <= threshold` goes left (so NaN goes right).
+double walk_tree(const std::vector<TreeNode>& tree, const double* row) {
+  std::size_t i = 0;
+  while (!tree[i].is_leaf()) {
+    const TreeNode& n = tree[i];
+    i = static_cast<std::size_t>(
+        row[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
+                                                                 : n.right);
+  }
+  return tree[i].value;
+}
+
+/// Query block in [-1.2, 1.2) with every fifth feature NaN.
+std::vector<double> random_block(std::size_t rows, std::size_t cols,
+                                 Rng& rng) {
+  std::vector<double> block(rows * cols);
+  for (std::size_t k = 0; k < block.size(); ++k) {
+    block[k] = k % 5 == 3 ? std::numeric_limits<double>::quiet_NaN()
+                          : rng.uniform(-1.2, 1.2);
+  }
+  return block;
+}
+
+/// predict() against (init + t0 + t1 + ...) / divisor and accumulate()
+/// against the GBT's round-by-round `inout[r] += tree_t(x_r)`, both
+/// summed tree by tree in tree order, EXPECT_EQ on every row.
+void expect_kernel_matches_scalar(std::size_t n_trees, std::size_t rows,
+                                  std::uint64_t seed) {
+  constexpr std::size_t kCols = 5;
+  Rng rng(seed);
+  std::vector<std::vector<TreeNode>> trees(n_trees);
+  FlatEnsemble flat;
+  for (auto& tree : trees) {
+    grow_random_tree(tree, rng, kCols, static_cast<int>(rng.uniform_int(0, 9)));
+    ASSERT_TRUE(flat.try_add_tree(std::span<const TreeNode>(tree)));
+  }
+  const double init = rng.uniform(-3.0, 3.0);
+  const double divisor = static_cast<double>(n_trees);
+  const auto block = random_block(rows, kCols, rng);
+  std::vector<double> start(rows);
+  for (auto& v : start) v = rng.uniform(-5.0, 5.0);
+
+  std::vector<double> accumulated = start;
+  flat.accumulate(block.data(), rows, kCols, accumulated.data());
+  flat.set_init(init);
+  flat.set_divisor(divisor);
+  std::vector<double> predicted(rows);
+  flat.predict(block.data(), rows, kCols, predicted.data());
+
+  const std::string context = std::to_string(n_trees) + " trees, " +
+                              std::to_string(rows) + " rows, row ";
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* row = block.data() + r * kCols;
+    double sum = init;
+    double inout = start[r];
+    for (const auto& tree : trees) {
+      sum += walk_tree(tree, row);
+      inout += walk_tree(tree, row);
+    }
+    EXPECT_EQ(predicted[r], sum / divisor) << context << r;
+    EXPECT_EQ(accumulated[r], inout) << context << r;
+  }
+}
+
+TEST(FlatKernel, MatchesScalarWalkAtLaneGroupBoundaries) {
+  // Rows 1-8 walk kLanes / rows trees per group; tree counts below, at and
+  // around one and two groups leave partial last groups of every size.
+  for (std::size_t rows = 1; rows <= 8; ++rows) {
+    const std::size_t group = FlatEnsemble::kLanes / rows;
+    for (const std::size_t n_trees :
+         {std::size_t{1}, group - 1, group, group + 1, 2 * group + 3}) {
+      expect_kernel_matches_scalar(n_trees, rows, 900 + rows * 31 + n_trees);
+    }
+  }
+  // Row counts where kLanes / rows changes (two trees per group up to 64
+  // rows, one from 65 on) and where a second block starts (129).
+  for (const std::size_t rows : {9, 21, 42, 43, 63, 64, 65, 127, 128, 129,
+                                 200}) {
+    for (const std::size_t n_trees : {1, 5, 7}) {
+      expect_kernel_matches_scalar(n_trees, rows, 7000 + rows * 13 + n_trees);
+    }
+  }
+}
+
+TEST(FlatKernel, SingleLeafTreesNeedNoFeatureLoads) {
+  // Depth-0 trees never read a feature, so a zero-column block is legal.
+  FlatEnsemble flat;
+  std::vector<TreeNode> leaf(1);
+  for (int t = 0; t < 50; ++t) {
+    leaf[0].value = 0.1 * t;
+    ASSERT_TRUE(flat.try_add_tree(std::span<const TreeNode>(leaf)));
+  }
+  std::vector<double> out(6, 0.0);
+  flat.accumulate(nullptr, 6, 0, out.data());
+  double expected = 0.0;
+  for (int t = 0; t < 50; ++t) expected += 0.1 * t;
+  for (const double v : out) EXPECT_EQ(v, expected);
+}
+
+TEST(FlatKernel, DefaultDeepForestMatchesPredictRow) {
+  // The forest the stream runners serve: Trainer::default_params' 800
+  // unpruned trees (depth cap 40), scored at decision-sized and
+  // boundary-sized blocks, some features NaN.
+  const auto model = create_regressor(
+      "random_forest", core::Trainer::default_params("random_forest"));
+  const auto data = make_synthetic(300, 4242);
+  model->fit(data);
+  for (const std::size_t rows : {1, 2, 3, 4, 5, 6, 7, 8, 21, 64, 65, 128,
+                                 129}) {
+    auto block = make_query_block(data, rows, 4244 + rows);
+    for (std::size_t k = 7; k < block.size(); k += 11) {
+      block[k] = std::numeric_limits<double>::quiet_NaN();
+    }
+    expect_batch_matches_rows(*model, block, rows, data.num_features(),
+                              "default forest, " + std::to_string(rows) +
+                                  " rows");
   }
 }
 

@@ -25,6 +25,9 @@ bool is_hot(const FunctionDef& fd) {
       "predict_batch",    "schedule_many",
       "schedule_many_from_snapshot",
       "schedule_batch",
+      // Flattened-forest kernel behind predict_batch: walks every tree for
+      // every candidate row of every decision.
+      "walk_block",
       // Training hot path: these run once per tree node (split search) or
       // once per boosting round, inside the serve-time retraining loop.
       "best_split",       "build_node",
