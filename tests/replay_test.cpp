@@ -15,6 +15,13 @@
 // pipeline (training-log row order, Top-k and regret accumulation) against
 // any reordering, however the work is scheduled across threads.
 //
+// A third record pins the learned and multi-tenant streams: a backlogged
+// kModel stream (placement retries), a kModelRetrain stream under network
+// drift (model versions, retrain outcomes) and a two-tenant DRF mix that
+// preempts. Every per-job time is a hex-float, so the job lifecycle both
+// stream runners share (bind, launch, completion, retry accounting) cannot
+// drift by a single bit unnoticed.
+//
 // To regenerate after an *intended* behavior change:
 //   LTS_UPDATE_GOLDEN=1 ./replay_test
 // and commit the updated tests/golden/*.json with the change that caused
@@ -33,6 +40,7 @@
 #include "exp/evaluate.hpp"
 #include "exp/scenario.hpp"
 #include "exp/stream.hpp"
+#include "tenant/stream.hpp"
 #include "util/json.hpp"
 
 namespace lts {
@@ -241,6 +249,160 @@ Json build_table4_record() {
 TEST(GoldenReplay, ReducedTable4MatchesCheckedInRecord) {
   expect_matches_golden("table4_golden.json",
                         build_table4_record().dump(2) + "\n");
+}
+
+/// Per-job outcome of a stream, times as hex-floats; `preemptions` only
+/// for tenant streams. A template while the two runners still report
+/// through separate per-job structs.
+template <typename Job>
+Json stream_jobs_to_json(const std::vector<Job>& jobs,
+                         bool with_preemptions) {
+  Json rows = Json::array();
+  for (const auto& job : jobs) {
+    Json row = Json::object();
+    row["scenario"] = job.scenario_id;
+    row["driver_node"] = job.driver_node;
+    row["planned_arrival"] = hex_float(job.planned_arrival);
+    row["submitted"] = hex_float(job.submitted);
+    row["queueing_delay"] = hex_float(job.queueing_delay);
+    row["duration"] = hex_float(job.duration);
+    row["placement_retries"] = static_cast<double>(job.placement_retries);
+    if constexpr (requires { job.preemptions; }) {
+      if (with_preemptions) {
+        row["preemptions"] = static_cast<double>(job.preemptions);
+      }
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+template <typename Job>
+int total_retries(const std::vector<Job>& jobs) {
+  int total = 0;
+  for (const auto& job : jobs) total += job.placement_retries;
+  return total;
+}
+
+/// The streams record: a linear model fitted on a reduced collect (as in
+/// the Table-4 record) serves a backlogged kModel stream and a
+/// kModelRetrain stream under a drift schedule; a two-tenant DRF mix (a
+/// best-effort burst against a guaranteed-quota tenant on the model)
+/// preempts. Asserts that the record really covers retries and
+/// preemptions, so a parameter change cannot silently drop those paths.
+Json build_streams_record() {
+  auto matrix = exp::paper_scenario_matrix();
+  matrix.resize(4);
+  exp::CollectorOptions collect;
+  collect.repeats = 1;
+  const auto model = std::shared_ptr<const ml::Regressor>(core::Trainer::train(
+      "linear", core::Trainer::dataset_from_log(
+                    exp::collect_training_data(matrix, collect))));
+  matrix = exp::paper_scenario_matrix();
+  matrix.resize(8);
+  Json record = Json::object();
+
+  {
+    exp::StreamOptions options;
+    options.num_jobs = 10;
+    options.mean_interarrival = 1.0;
+    options.seed = kSeed;
+    const auto run = exp::run_job_stream(exp::StreamPolicy::kModel, model,
+                                         matrix, options);
+    EXPECT_GT(total_retries(run.jobs), 0) << "kModel stream never retried";
+    Json j = Json::object();
+    j["jobs"] = stream_jobs_to_json(run.jobs, false);
+    j["makespan"] = hex_float(run.makespan);
+    record["stream_model"] = j;
+  }
+
+  {
+    exp::StreamOptions options;
+    options.num_jobs = 15;
+    options.mean_interarrival = 8.0;
+    options.seed = kSeed;
+    options.env.faults = exp::generate_drift_schedule(
+        options.env.cluster_spec, kSeed, exp::DriftScheduleOptions{});
+    options.retrain.retrain_every = 5;
+    options.retrain.min_rows = 4;
+    options.retrain.window_size = 40;
+    options.retrain.model_name = "linear";
+    options.retrain.holdout_gate_slack = -1.0;
+    const auto run = exp::run_job_stream(exp::StreamPolicy::kModelRetrain,
+                                         model, matrix, options);
+    EXPECT_FALSE(run.retrain_events.empty());
+    Json j = Json::object();
+    j["jobs"] = stream_jobs_to_json(run.jobs, false);
+    j["makespan"] = hex_float(run.makespan);
+    j["model_version"] = static_cast<double>(run.model_version);
+    Json events = Json::array();
+    for (const auto& event : run.retrain_events) {
+      Json e = Json::object();
+      e["outcome"] = core::to_string(event.outcome);
+      e["version"] = static_cast<double>(event.version);
+      events.push_back(e);
+    }
+    j["retrain_events"] = events;
+    record["stream_retrain"] = j;
+  }
+
+  {
+    constexpr Bytes kGiB = 1024.0 * 1024.0 * 1024.0;
+    // One standard hog job (4 cores) and one 9-core vip job: the hog burst
+    // saturates the cluster, so the vip's within-quota demand preempts.
+    exp::Scenario hog_job;
+    hog_job.id = "hog-sort";
+    hog_job.config.app = spark::AppType::kSort;
+    hog_job.config.input_records = 1000000;
+    exp::Scenario vip_job = hog_job;
+    vip_job.id = "vip-sort";
+    vip_job.config.executors = 4;
+    vip_job.config.executor_cores = 2.0;
+
+    tenant::TenantStreamsOptions options;
+    options.seed = kSeed;
+    options.sharing = tenant::SharingMode::kDrf;
+    options.tenants.resize(2);
+    tenant::TenantStreamOptions& hog = options.tenants[0];
+    hog.spec.name = "hog";  // zero quota: every job BestEffort
+    hog.policy = exp::StreamPolicy::kKubeDefault;
+    hog.num_jobs = 12;
+    hog.arrivals.process = tenant::ArrivalProcess::kBursty;
+    hog.arrivals.mean_interarrival = 0.5;
+    hog.arrivals.burst_size = 12;
+    hog.arrivals.burst_spacing = 0.1;
+    tenant::TenantStreamOptions& vip = options.tenants[1];
+    vip.spec.name = "vip";
+    vip.spec.quota = {9.0, 6.0 * kGiB};
+    vip.policy = exp::StreamPolicy::kModel;
+    vip.model = model;
+    vip.num_jobs = 3;
+    vip.arrivals.mean_interarrival = 30.0;
+    const auto run =
+        tenant::run_tenant_streams({hog_job, vip_job}, options);
+    EXPECT_GT(run.total_preemptions, 0) << "tenant mix never preempted";
+    Json j = Json::object();
+    Json tenants = Json::array();
+    for (const auto& t : run.tenants) {
+      Json row = Json::object();
+      row["tenant"] = t.tenant;
+      row["jobs"] = stream_jobs_to_json(t.jobs, true);
+      row["makespan"] = hex_float(t.makespan);
+      row["share_integral"] = hex_float(t.share_integral);
+      tenants.push_back(row);
+    }
+    j["tenants"] = tenants;
+    j["jain_share"] = hex_float(run.jain_share);
+    j["offer_rounds"] = static_cast<double>(run.offer_rounds);
+    j["total_preemptions"] = static_cast<double>(run.total_preemptions);
+    record["tenant_drf"] = j;
+  }
+  return record;
+}
+
+TEST(GoldenReplay, StreamsMatchCheckedInRecord) {
+  expect_matches_golden("stream_golden.json",
+                        build_streams_record().dump(2) + "\n");
 }
 
 }  // namespace
