@@ -333,32 +333,38 @@ k8s::ScheduleResult SimEnv::kube_ranking(const spark::JobConfig& config) {
   return probe_scheduler.schedule(pod);
 }
 
-spark::AppResult SimEnv::run_job(const spark::JobConfig& config,
-                                 std::size_t driver_node,
-                                 std::uint64_t job_seed) {
+LaunchedJob SimEnv::launch_job(
+    const spark::JobConfig& config, const std::string& job_name,
+    std::size_t driver_node, std::uint64_t job_seed,
+    std::function<void(const spark::AppResult&)> on_complete,
+    const std::vector<std::string>& offered) {
   LTS_REQUIRE(driver_node < cluster_->num_nodes(),
               "SimEnv: driver node out of range");
-  const std::string job_name = strformat("job-%d", ++job_counter_);
+  LaunchedJob job;
 
   // Bind the driver where the scheduler-under-test decided (nodeAffinity);
   // the Spark operator creates the driver pod first, executors follow.
   const auto driver_pod = core::JobBuilder::driver_pod(
       config, job_name, node_names_[driver_node]);
   api_.bind(driver_pod, node_names_[driver_node]);
+  job.pods.push_back(driver_pod.name);
 
   // Executors go through the default scheduler, one by one (§4: "executor
   // pods are placed independently by the default Kubernetes scheduler").
   std::vector<std::size_t> executor_nodes;
-  std::vector<std::string> bound_pods{driver_pod.name};
   executor_nodes.reserve(static_cast<std::size_t>(config.executors));
   for (int e = 0; e < config.executors; ++e) {
-    const auto pod = core::JobBuilder::executor_pod(config, job_name, e);
-    const auto result = kube_scheduler_->schedule(pod);
-    LTS_REQUIRE(result.feasible(),
-                "SimEnv: no feasible node for executor pod");
-    api_.bind(pod, result.selected());
-    bound_pods.push_back(pod.name);
-    executor_nodes.push_back(cluster_->node_index(result.selected()));
+    auto pod = core::JobBuilder::executor_pod(config, job_name, e);
+    if (!offered.empty()) pod.node_affinity = k8s::NodeAffinity{offered};
+    auto where = kube_scheduler_->schedule(pod);
+    if (!where.feasible()) {
+      unbind(job);
+      job.rejection = std::move(where);
+      return job;
+    }
+    api_.bind(pod, where.selected());
+    job.pods.push_back(pod.name);
+    executor_nodes.push_back(cluster_->node_index(where.selected()));
   }
 
   // The job's own randomness: DAG (Join skew) and runtime jitter streams
@@ -366,22 +372,34 @@ spark::AppResult SimEnv::run_job(const spark::JobConfig& config,
   Rng dag_rng(job_seed * 0x2545f4914f6cdd1dULL + 0x9e37);
   auto dag = spark::build_dag(config, dag_rng, options_.workload_cost);
   Rng app_rng(job_seed * 0xda942042e4dd58b5ULL + 0x7f4a);
+  job.app = std::make_unique<spark::SparkApp>(
+      *cluster_, config, std::move(dag), driver_node,
+      std::move(executor_nodes), app_rng, options_.runtime);
+  job.app->submit(std::move(on_complete));
+  return job;
+}
 
-  spark::SparkApp app(*cluster_, config, std::move(dag), driver_node,
-                      executor_nodes, app_rng, options_.runtime);
+void SimEnv::unbind(LaunchedJob& job) {
+  for (const auto& pod : job.pods) api_.remove_pod(pod);
+  job.pods.clear();
+}
+
+spark::AppResult SimEnv::run_job(const spark::JobConfig& config,
+                                 std::size_t driver_node,
+                                 std::uint64_t job_seed) {
   bool done = false;
-  app.submit([&done](const spark::AppResult&) { done = true; });
+  LaunchedJob job = launch_job(
+      config, strformat("job-%d", ++job_counter_), driver_node, job_seed,
+      [&done](const spark::AppResult&) { done = true; });
+  LTS_REQUIRE(job.app != nullptr, "SimEnv: no feasible node for executor pod");
   const SimTime deadline = engine_.now() + options_.max_job_duration;
   while (!done) {
     LTS_REQUIRE(engine_.step(), "SimEnv: event queue drained mid-job");
     LTS_REQUIRE(engine_.now() <= deadline,
                 "SimEnv: job exceeded max_job_duration");
   }
-
-  for (const auto& pod_name : bound_pods) {
-    api_.remove_pod(pod_name);
-  }
-  return app.result();
+  unbind(job);
+  return job.app->result();
 }
 
 }  // namespace lts::exp

@@ -151,6 +151,17 @@ cluster::ClusterSpec scaled_cluster_spec(const ScaledClusterOptions& options);
 /// Shorthand for the defaults above with just the shape overridden.
 cluster::ClusterSpec scaled_cluster_spec(int sites, int nodes_per_site);
 
+/// A job whose pods SimEnv::launch_job bound and whose app it submitted.
+struct LaunchedJob {
+  /// The submitted app; null when an executor fit nowhere, in which case
+  /// nothing stays bound and `rejection` is that executor's attempt.
+  std::unique_ptr<spark::SparkApp> app;
+  /// Pods bound for the job, driver first; SimEnv::unbind removes them
+  /// once the job completes or is cancelled.
+  std::vector<std::string> pods;
+  k8s::ScheduleResult rejection;
+};
+
 class SimEnv {
  public:
   explicit SimEnv(std::uint64_t seed, EnvOptions options = {});
@@ -174,11 +185,26 @@ class SimEnv {
   /// Telemetry snapshot of all nodes as of now.
   telemetry::ClusterSnapshot snapshot() const;
 
-  /// Executes a job with its driver pinned on `driver_node` and executors
-  /// placed by the default scheduler. `job_seed` drives the job's own
-  /// randomness (DAG skew, startup jitter, task jitter) and must be held
-  /// fixed across counterfactual runs. Binds and later removes the pods
-  /// through the API server, so the scheduler sees realistic state.
+  /// Places a job the paper's way (§3.2.3, §4) and submits it: binds the
+  /// driver pod pinned on `driver_node` (nodeAffinity), then each executor
+  /// pod where kube_scheduler() puts it, restricted to the `offered` nodes
+  /// when that list is non-empty. The first executor that fits nowhere
+  /// unbinds every pod of the job and returns with a null app. `job_seed`
+  /// alone drives the job's own randomness (DAG skew, startup and task
+  /// jitter), so placement never perturbs those draws. `on_complete` fires
+  /// once the app finishes.
+  LaunchedJob launch_job(const spark::JobConfig& config,
+                         const std::string& job_name, std::size_t driver_node,
+                         std::uint64_t job_seed,
+                         std::function<void(const spark::AppResult&)> on_complete,
+                         const std::vector<std::string>& offered = {});
+
+  /// Removes `job`'s pods from the API server and forgets them.
+  void unbind(LaunchedJob& job);
+
+  /// Launches a job (see launch_job; every executor must fit) and runs the
+  /// engine until it completes, then removes its pods. `job_seed` must be
+  /// held fixed across counterfactual runs.
   spark::AppResult run_job(const spark::JobConfig& config,
                            std::size_t driver_node, std::uint64_t job_seed);
 

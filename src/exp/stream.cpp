@@ -22,6 +22,10 @@ StreamCounters stream_counters(const std::string& tenant) {
           "Placements deferred because the cluster could not fit the job")};
 }
 
+namespace {
+
+/// Per-node rejection reasons of a scheduling attempt, one
+/// "\n  node: reason" line each (an empty result is explained too).
 std::string describe_rejections(const k8s::ScheduleResult& result) {
   if (result.rejected.empty()) {
     return "\n  (no per-node rejection reasons recorded)";
@@ -33,6 +37,7 @@ std::string describe_rejections(const k8s::ScheduleResult& result) {
   return out;
 }
 
+/// One-line job-config summary for diagnostics.
 std::string describe_job_config(const spark::JobConfig& config) {
   constexpr double kMiB = 1024.0 * 1024.0;
   return strformat(
@@ -42,6 +47,43 @@ std::string describe_job_config(const spark::JobConfig& config) {
       static_cast<long long>(config.input_records), config.executors,
       config.executor_cores, config.executor_memory / kMiB,
       config.driver_cores, config.driver_memory / kMiB);
+}
+
+}  // namespace
+
+void record_completion(StreamJobResult& job, const std::string& scenario_id,
+                       const spark::AppResult& result) {
+  job.scenario_id = scenario_id;
+  job.driver_node = result.driver_node;
+  job.submitted = result.submit_time;
+  job.queueing_delay = result.submit_time - job.planned_arrival;
+  job.duration = result.duration();
+}
+
+SimTime last_finish(const std::vector<StreamJobResult>& jobs) {
+  SimTime last = 0.0;
+  for (const auto& job : jobs) {
+    last = std::max(last, job.submitted + job.duration);
+  }
+  return last;
+}
+
+double makespan(const std::vector<StreamJobResult>& jobs) {
+  SimTime first_submit = jobs.front().submitted;
+  for (const auto& job : jobs) {
+    first_submit = std::min(first_submit, job.submitted);
+  }
+  return last_finish(jobs) - first_submit;
+}
+
+Error unplaceable_error(const std::string& job, int retries,
+                        const spark::JobConfig& config,
+                        const k8s::ScheduleResult& last_attempt) {
+  return Error(strformat("%s still unplaceable after %d retries [%s]; "
+                         "per-node rejections of the last attempt:",
+                         job.c_str(), retries,
+                         describe_job_config(config).c_str()) +
+               describe_rejections(last_attempt));
 }
 
 StreamResult run_job_stream(StreamPolicy policy,
@@ -115,7 +157,7 @@ StreamResult run_job_stream(StreamPolicy policy,
   for (std::size_t j = 0; j < plan.size(); ++j) {
     result.jobs[j].planned_arrival = plan[j].arrival;
   }
-  std::vector<std::unique_ptr<spark::SparkApp>> apps(plan.size());
+  std::vector<LaunchedJob> launched(plan.size());
   int remaining = options.num_jobs;
   const StreamCounters metrics = stream_counters();
 
@@ -126,34 +168,25 @@ StreamResult run_job_stream(StreamPolicy policy,
   // with the last attempt's per-node rejection reasons instead of spinning
   // until the drain guard aborts the whole run with no explanation.
   constexpr SimTime kRetryDelay = 5.0;
-  auto try_place = std::make_shared<std::function<void(std::size_t)>>();
-  // The stored lambda must not capture try_place strongly — that's a
-  // shared_ptr cycle (the function would own itself and leak). The local
-  // strong reference above outlives the event loop below, so weak_ptr
-  // locks always succeed while events can still fire.
-  *try_place = [&, weak = std::weak_ptr(try_place)](std::size_t j) {
+  // Every event that calls try_place lives in env's engine, which is only
+  // stepped inside this function.
+  std::function<void(std::size_t)> try_place;
+  try_place = [&](std::size_t j) {
     const PlannedJob& planned = plan[j];
     const spark::JobConfig& config = planned.scenario->config;
     const std::string job_name =
         strformat("stream-%zu-%.0f", j, env.engine().now());
-    auto retry = [&, weak, j,
-                  job_name](const k8s::ScheduleResult& last_attempt) {
+    auto retry = [&, j](const k8s::ScheduleResult& last_attempt) {
       StreamJobResult& job = result.jobs[j];
       ++job.placement_retries;
       metrics.placement_retries.inc();
       if (job.placement_retries > options.max_placement_retries) {
-        throw Error(strformat(
-                        "run_job_stream: job %zu (%s, \"%s\") still "
-                        "unplaceable after %d retries [%s]; per-node "
-                        "rejections of the last attempt:",
-                        j, plan[j].scenario->id.c_str(), job_name.c_str(),
-                        options.max_placement_retries,
-                        describe_job_config(config).c_str()) +
-                    describe_rejections(last_attempt));
+        throw unplaceable_error(
+            strformat("run_job_stream: job %zu (%s, \"%s\")", j,
+                      planned.scenario->id.c_str(), job_name.c_str()),
+            options.max_placement_retries, config, last_attempt);
       }
-      env.engine().schedule_in(kRetryDelay, [weak, j] {
-        if (const auto fn = weak.lock()) (*fn)(j);
-      });
+      env.engine().schedule_in(kRetryDelay, [&try_place, j] { try_place(j); });
     };
 
     // Per-decision trace span for the model policy: the scheduler joins it
@@ -213,67 +246,45 @@ StreamResult run_job_stream(StreamPolicy policy,
         break;
     }
 
-    // Bind pods (driver pinned; executors via the default scheduler); on
-    // any infeasibility unwind the bindings and retry later.
-    const auto driver_pod = core::JobBuilder::driver_pod(
-        config, job_name, env.node_names()[driver_node]);
-    auto bound = std::make_shared<std::vector<std::string>>();
-    const auto driver_fit = env.kube_scheduler().schedule(driver_pod);
+    // The driver must fit where it was pinned; then launch (executors via
+    // the default scheduler). Either failing defers the job.
+    const auto driver_fit = env.kube_scheduler().schedule(
+        core::JobBuilder::driver_pod(config, job_name,
+                                     env.node_names()[driver_node]));
     if (!driver_fit.feasible()) {
       retry(driver_fit);
       return;
     }
-    env.api().bind(driver_pod, env.node_names()[driver_node]);
-    bound->push_back(driver_pod.name);
-    std::vector<std::size_t> executor_nodes;
-    for (int e = 0; e < config.executors; ++e) {
-      const auto pod = core::JobBuilder::executor_pod(config, job_name, e);
-      const auto where = env.kube_scheduler().schedule(pod);
-      if (!where.feasible()) {
-        for (const auto& name : *bound) env.api().remove_pod(name);
-        retry(where);
-        return;
-      }
-      env.api().bind(pod, where.selected());
-      bound->push_back(pod.name);
-      executor_nodes.push_back(env.cluster().node_index(where.selected()));
+    LaunchedJob job = env.launch_job(
+        config, job_name, driver_node, planned.job_seed,
+        [&, j](const spark::AppResult& app_result) {
+          record_completion(result.jobs[j], plan[j].scenario->id, app_result);
+          env.unbind(launched[j]);
+          metrics.jobs_completed.inc();
+          if (retrainer && feedback[j].valid) {
+            PendingFeedback& fb = feedback[j];
+            fb.record.duration = app_result.duration();
+            fb.record.shuffle_bytes = app_result.total_shuffle_bytes;
+            fb.record.max_spill_penalty = app_result.max_spill_penalty;
+            const auto event =
+                retrainer->on_completion(fb.record, fb.predicted);
+            if (event && event->outcome == core::RetrainOutcome::kSwapped) {
+              scheduler->set_model(retrainer->model());
+            }
+          }
+          --remaining;
+        });
+    if (!job.app) {
+      retry(job.rejection);
+      return;
     }
     if (span) span->phase("bind", env.engine().now());
-
-    Rng dag_rng(planned.job_seed * 0x2545f4914f6cdd1dULL + 0x9e37);
-    auto dag = spark::build_dag(config, dag_rng,
-                                env.options().workload_cost);
-    Rng app_rng(planned.job_seed * 0xda942042e4dd58b5ULL + 0x7f4a);
-    apps[j] = std::make_unique<spark::SparkApp>(
-        env.cluster(), config, std::move(dag), driver_node, executor_nodes,
-        app_rng, env.options().runtime);
-    apps[j]->submit([&, j, bound](const spark::AppResult& app_result) {
-      result.jobs[j].scenario_id = plan[j].scenario->id;
-      result.jobs[j].driver_node = app_result.driver_node;
-      result.jobs[j].submitted = app_result.submit_time;
-      result.jobs[j].queueing_delay =
-          app_result.submit_time - result.jobs[j].planned_arrival;
-      result.jobs[j].duration = app_result.duration();
-      for (const auto& pod : *bound) env.api().remove_pod(pod);
-      metrics.jobs_completed.inc();
-      if (retrainer && feedback[j].valid) {
-        PendingFeedback& fb = feedback[j];
-        fb.record.duration = app_result.duration();
-        fb.record.shuffle_bytes = app_result.total_shuffle_bytes;
-        fb.record.max_spill_penalty = app_result.max_spill_penalty;
-        const auto event =
-            retrainer->on_completion(fb.record, fb.predicted);
-        if (event && event->outcome == core::RetrainOutcome::kSwapped) {
-          scheduler->set_model(retrainer->model());
-        }
-      }
-      --remaining;
-    });
+    launched[j] = std::move(job);
   };
 
   for (std::size_t j = 0; j < plan.size(); ++j) {
     env.engine().schedule_at(plan[j].arrival,
-                             [try_place, j] { (*try_place)(j); });
+                             [&try_place, j] { try_place(j); });
   }
 
   while (remaining > 0) {
@@ -282,17 +293,7 @@ StreamResult run_job_stream(StreamPolicy policy,
                 "run_job_stream: stream failed to complete");
   }
 
-  // Makespan from *actual* submits: under backlog the first job can submit
-  // later than plan.front().arrival (retry path), and retries can reorder
-  // submissions, so the earliest submit is a min over jobs — the planned
-  // arrival would silently absorb queueing delay into the makespan.
-  SimTime first_submit = result.jobs.front().submitted;
-  SimTime last_finish = 0.0;
-  for (const auto& job : result.jobs) {
-    first_submit = std::min(first_submit, job.submitted);
-    last_finish = std::max(last_finish, job.submitted + job.duration);
-  }
-  result.makespan = last_finish - first_submit;
+  result.makespan = makespan(result.jobs);
   if (retrainer) {
     result.model_version = retrainer->model_version();
     result.retrain_events = retrainer->events();

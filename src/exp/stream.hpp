@@ -70,6 +70,9 @@ struct StreamJobResult {
   double duration = 0.0;
   /// Placement attempts deferred before this job was placed.
   int placement_retries = 0;
+  /// Times the job was preempted: cancelled, then restarted from scratch
+  /// (tenant streams only).
+  int preemptions = 0;
 };
 
 struct StreamResult {
@@ -106,12 +109,25 @@ struct StreamCounters {
 };
 StreamCounters stream_counters(const std::string& tenant = {});
 
-/// Human-readable per-node rejection reasons of a scheduling attempt, one
-/// "\n  node: reason" line each (empty result explained too). Used by the
-/// bounded-retry failure paths of both stream runners.
-std::string describe_rejections(const k8s::ScheduleResult& result);
+/// Fills `job`'s outcome from its app's final result: scenario, driver
+/// node, actual submission, queueing delay and duration.
+void record_completion(StreamJobResult& job, const std::string& scenario_id,
+                       const spark::AppResult& result);
 
-/// One-line human-readable job-config summary for diagnostics.
-std::string describe_job_config(const spark::JobConfig& config);
+/// Last completion (submitted + duration) over `jobs`.
+SimTime last_finish(const std::vector<StreamJobResult>& jobs);
+
+/// Last completion minus first *actual* submission. Under backlog the first
+/// job can submit later than it arrived, and retries can reorder
+/// submissions, so the earliest submit is a min over jobs: a planned
+/// arrival would silently absorb queueing delay into the makespan.
+double makespan(const std::vector<StreamJobResult>& jobs);
+
+/// The bounded-retry failure of both stream runners: `job` (who it is, for
+/// the message) is still unplaceable after `retries` deferrals. Names its
+/// config and the per-node rejection reasons of `last_attempt`.
+Error unplaceable_error(const std::string& job, int retries,
+                        const spark::JobConfig& config,
+                        const k8s::ScheduleResult& last_attempt);
 
 }  // namespace lts::exp

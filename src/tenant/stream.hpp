@@ -89,22 +89,9 @@ struct TenantStreamsOptions {
   SimTime retry_delay = 5.0;
 };
 
-struct TenantJobResult {
-  std::string scenario_id;
-  std::string driver_node;
-  SimTime planned_arrival = 0.0;
-  /// Final successful submission instant (after any deferrals/restarts).
-  SimTime submitted = 0.0;
-  SimTime queueing_delay = 0.0;  // submitted - planned_arrival
-  double duration = 0.0;
-  int placement_retries = 0;
-  /// Times this job was preempted (cancelled and restarted from scratch).
-  int preemptions = 0;
-};
-
 struct TenantStreamResult {
   std::string tenant;
-  std::vector<TenantJobResult> jobs;
+  std::vector<exp::StreamJobResult> jobs;
   /// Last completion minus first actual submission, this tenant only.
   double makespan = 0.0;
   /// ∫ weighted dominant share dt over the whole run — what DRF equalizes.

@@ -140,6 +140,37 @@ TEST(SimEnv, PodsCleanedUpAfterRun) {
   EXPECT_EQ(env.api().num_pods(), pods_before);
 }
 
+TEST(SimEnv, LaunchJobKeepsExecutorsInTheOfferAndUnwindsOnMisfit) {
+  SimEnv env(3);
+  env.warmup();
+  const std::size_t pods_before = env.api().num_pods();
+  spark::JobConfig job;
+  job.executors = 2;
+  bool completed = false;
+  LaunchedJob placed = env.launch_job(
+      job, "offered", 0, 9,
+      [&completed](const spark::AppResult&) { completed = true; },
+      {"node-4"});
+  ASSERT_NE(placed.app, nullptr);
+  ASSERT_EQ(placed.pods.size(), 3u);  // driver first, then the executors
+  EXPECT_EQ(env.api().pod_node(placed.pods[0]), "node-1");
+  EXPECT_EQ(env.api().pod_node(placed.pods[1]), "node-4");
+  EXPECT_EQ(env.api().pod_node(placed.pods[2]), "node-4");
+  while (!completed) ASSERT_TRUE(env.engine().step());
+  env.unbind(placed);
+  EXPECT_EQ(env.api().num_pods(), pods_before);
+
+  // The first executor fits no node: the driver is unbound again and the
+  // failed attempt's per-node reasons come back.
+  job.executor_cores = 64.0;
+  const LaunchedJob misfit =
+      env.launch_job(job, "misfit", 0, 9, [](const spark::AppResult&) {});
+  EXPECT_EQ(misfit.app, nullptr);
+  EXPECT_TRUE(misfit.pods.empty());
+  EXPECT_EQ(misfit.rejection.rejected.size(), 6u);
+  EXPECT_EQ(env.api().num_pods(), pods_before);
+}
+
 TEST(SimEnv, KubeRankingCoversFeasibleNodes) {
   SimEnv env(3);
   env.warmup();

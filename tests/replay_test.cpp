@@ -252,10 +252,8 @@ TEST(GoldenReplay, ReducedTable4MatchesCheckedInRecord) {
 }
 
 /// Per-job outcome of a stream, times as hex-floats; `preemptions` only
-/// for tenant streams. A template while the two runners still report
-/// through separate per-job structs.
-template <typename Job>
-Json stream_jobs_to_json(const std::vector<Job>& jobs,
+/// for tenant streams.
+Json stream_jobs_to_json(const std::vector<exp::StreamJobResult>& jobs,
                          bool with_preemptions) {
   Json rows = Json::array();
   for (const auto& job : jobs) {
@@ -267,18 +265,15 @@ Json stream_jobs_to_json(const std::vector<Job>& jobs,
     row["queueing_delay"] = hex_float(job.queueing_delay);
     row["duration"] = hex_float(job.duration);
     row["placement_retries"] = static_cast<double>(job.placement_retries);
-    if constexpr (requires { job.preemptions; }) {
-      if (with_preemptions) {
-        row["preemptions"] = static_cast<double>(job.preemptions);
-      }
+    if (with_preemptions) {
+      row["preemptions"] = static_cast<double>(job.preemptions);
     }
     rows.push_back(row);
   }
   return rows;
 }
 
-template <typename Job>
-int total_retries(const std::vector<Job>& jobs) {
+int total_retries(const std::vector<exp::StreamJobResult>& jobs) {
   int total = 0;
   for (const auto& job : jobs) total += job.placement_retries;
   return total;
