@@ -1,5 +1,5 @@
-// Cluster scale-out benchmark: the hierarchical max-min solver and the
-// sharded event engine at 100 sites / 1k nodes.
+// Cluster scale-out benchmark: the hierarchical max-min solver at 100
+// sites and the event engine under 1k-node flow churn.
 //
 // Part 1 — solver: a 100-site, 100k-flow storm where traffic is mostly
 // site-local (the regime the decomposition targets: WAN flows confined to
@@ -10,10 +10,9 @@
 // resulting rates agree. Exits nonzero if the speedup falls below the 5x
 // acceptance floor or the rates diverge.
 //
-// Part 2 — sharded stream: a 1k-node cluster under per-site periodic flow
-// churn, every event tagged with its site's shard, shard-batch hooks
-// counting the (time, shard) batches the engine forms. Measures end-to-end
-// events/sec with the hierarchical solver serving every recompute.
+// Part 2 — churn stream: a 1k-node cluster under per-site periodic flow
+// churn. Measures end-to-end events/sec with the hierarchical solver
+// serving every recompute.
 //
 // Emits BENCH_cluster_scale.json via exp::BenchReport; CI uploads it with
 // the other perf-trajectory artifacts.
@@ -114,30 +113,24 @@ struct StreamRun {
   double wall_seconds = 0.0;
   std::uint64_t events = 0;
   std::uint64_t completed = 0;
-  std::uint64_t batches_begun = 0;
-  std::uint64_t batches_closed = 0;
 };
 
-StreamRun run_sharded_stream() {
+StreamRun run_churn_stream() {
   sim::Engine engine;
   auto spec_options = scale_options();
   spec_options.hierarchical_solver = true;
   cluster::Cluster cl(engine, exp::scaled_cluster_spec(spec_options));
 
   StreamRun out;
-  engine.set_shard_batch_hooks([&](int) { ++out.batches_begun; },
-                               [&](int) { ++out.batches_closed; });
 
-  // One periodic churn source per site, tagged with the site's shard: all
-  // of a site's same-instant work (flow starts here, exporter scrapes in
-  // the full SimEnv) batches together under the deterministic cross-site
-  // merge. Phases de-synchronize the sites like real scrape jitter does.
+  // One periodic churn source per site, each starting site-local flows.
+  // Phases de-synchronize the sites like real scrape jitter does.
   std::vector<std::unique_ptr<sim::PeriodicTask>> churn;
   std::vector<int> next_flow(kSites, 0);
   churn.reserve(kSites);
   for (int s = 0; s < kSites; ++s) {
     churn.push_back(std::make_unique<sim::PeriodicTask>(
-        engine, 0.1, 1e-4 * static_cast<double>(s), /*shard=*/s + 1, [&, s] {
+        engine, 0.1, 1e-4 * static_cast<double>(s), [&, s] {
           const int base = s * kNodesPerSite;
           const auto [src, dst] = local_pair(next_flow[
               static_cast<std::size_t>(s)]++);
@@ -220,25 +213,23 @@ int main() {
                         .render("Max-min solver at 100 sites / 100k flows")
                         .c_str());
 
-  // ---- Part 2: sharded 1k-node stream ----
-  const StreamRun stream = run_sharded_stream();
-  const std::string shard = "sharded_stream/1000nodes";
-  report.add(shard, "wall_seconds", stream.wall_seconds, "s");
-  report.add(shard, "events", static_cast<double>(stream.events));
-  report.add(shard, "events_per_second",
+  // ---- Part 2: 1k-node churn stream ----
+  const StreamRun stream = run_churn_stream();
+  const std::string churn = "churn_stream/1000nodes";
+  report.add(churn, "wall_seconds", stream.wall_seconds, "s");
+  report.add(churn, "events", static_cast<double>(stream.events));
+  report.add(churn, "events_per_second",
              static_cast<double>(stream.events) / stream.wall_seconds);
-  report.add(shard, "flows_completed", static_cast<double>(stream.completed));
-  report.add(shard, "shard_batches",
-             static_cast<double>(stream.batches_begun));
+  report.add(churn, "flows_completed", static_cast<double>(stream.completed));
 
   AsciiTable stream_table(
-      {"nodes", "wall (s)", "events", "events/s", "completed", "batches"});
+      {"nodes", "wall (s)", "events", "events/s", "completed"});
   stream_table.add_row(
       {"1000", fmt(stream.wall_seconds), std::to_string(stream.events),
        fmt(static_cast<double>(stream.events) / stream.wall_seconds, "%.0f"),
-       std::to_string(stream.completed), std::to_string(stream.batches_begun)});
+       std::to_string(stream.completed)});
   std::printf("\n%s",
-              stream_table.render("Sharded 1k-node stream").c_str());
+              stream_table.render("1k-node churn stream").c_str());
 
   report.write("BENCH_cluster_scale.json");
   std::printf("\nwrote BENCH_cluster_scale.json\n");
@@ -257,13 +248,6 @@ int main() {
                  "ERROR: hierarchical rates diverged from flat by %.3e "
                  "(relative)\n",
                  max_rel_diff);
-    rc = 1;
-  }
-  if (stream.batches_begun == 0 ||
-      stream.batches_begun != stream.batches_closed) {
-    std::fprintf(stderr, "ERROR: shard batch hooks unbalanced (%llu vs %llu)\n",
-                 static_cast<unsigned long long>(stream.batches_begun),
-                 static_cast<unsigned long long>(stream.batches_closed));
     rc = 1;
   }
   return rc;

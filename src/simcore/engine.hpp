@@ -37,25 +37,6 @@ class Engine {
   /// Schedules `fn` to run `delay` seconds from now (delay >= 0).
   EventId schedule_in(SimTime delay, std::function<void()> fn);
 
-  /// Sharded variants (scale-out hook): events carry a shard tag — e.g.
-  /// the site whose local state they touch. Same-time events execute
-  /// grouped by ascending shard, in insertion order within a shard, so all
-  /// of one site's work at an instant runs as one contiguous batch before
-  /// the next site's. Cross-shard order is a deterministic merge by (time,
-  /// shard, seq); the unsharded schedule_at/schedule_in tag shard 0, so a
-  /// simulation that never passes a shard executes in exactly the historic
-  /// (time, seq) order — golden replays stay byte-identical.
-  EventId schedule_at(SimTime t, int shard, std::function<void()> fn);
-  EventId schedule_in(SimTime delay, int shard, std::function<void()> fn);
-
-  /// Observes shard-batch boundaries: on_begin(shard) fires before the
-  /// first event of each same-(time, shard) batch, on_end(shard) after its
-  /// last (the still-open batch closes when the queue drains). This is
-  /// where per-site epoch work hangs off — flush a site's coalesced state
-  /// once per batch instead of once per event. Pass nullptrs to detach.
-  void set_shard_batch_hooks(std::function<void(int)> on_begin,
-                             std::function<void(int)> on_end);
-
   /// Cancels a pending event. Safe to call with an already-fired or
   /// already-cancelled handle (returns false in that case).
   bool cancel(EventId id);
@@ -83,22 +64,12 @@ class Engine {
 
   struct QueueEntry {
     SimTime time;
-    std::uint64_t seq;
-    EventId id;
-    // Shard tag; 0 for everything scheduled through the unsharded API, so
-    // the comparator degenerates to the historic (time, seq) order unless
-    // a caller opts into sharding.
-    std::int32_t shard = 0;
+    EventId id;  // ids are issued in insertion order: the tie-break
     bool operator>(const QueueEntry& other) const {
       if (time != other.time) return time > other.time;
-      if (shard != other.shard) return shard > other.shard;
-      return seq > other.seq;
+      return id > other.id;
     }
   };
-
-  /// Fires the batch hooks around (time, shard) group boundaries.
-  void note_batch(SimTime time, std::int32_t shard);
-  void close_batch();
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
@@ -109,14 +80,6 @@ class Engine {
   std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                       std::greater<QueueEntry>>
       queue_;
-  // Shard-batch hook state; inert (one predictable branch per step) until
-  // set_shard_batch_hooks installs observers.
-  bool batch_hooks_ = false;
-  bool batch_open_ = false;
-  SimTime batch_time_ = 0.0;
-  std::int32_t batch_shard_ = 0;
-  std::function<void(int)> batch_begin_;
-  std::function<void(int)> batch_end_;
   // std::map, not unordered_map: handlers_ is only ever probed by id today,
   // but an ordered container makes any future iteration deterministic by
   // construction — the same reasoning as FlowManager::flows_ (lint rule R2).
@@ -129,11 +92,6 @@ class Engine {
 class PeriodicTask {
  public:
   PeriodicTask(Engine& engine, SimTime interval, SimTime phase,
-               std::function<void()> fn);
-  /// Sharded variant: every firing carries `shard`, so a site's periodic
-  /// work (exporter scrapes, per-site sweeps) batches with the rest of
-  /// that site's same-instant events.
-  PeriodicTask(Engine& engine, SimTime interval, SimTime phase, int shard,
                std::function<void()> fn);
   ~PeriodicTask();
 
@@ -148,7 +106,6 @@ class PeriodicTask {
 
   Engine& engine_;
   SimTime interval_;
-  int shard_ = 0;
   std::function<void()> fn_;
   EventId pending_ = kInvalidEvent;
   bool running_ = true;
