@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <locale>
 #include <sstream>
 
 #include "lts_lint/rules.hpp"
@@ -20,6 +21,20 @@ std::string read_file(const std::filesystem::path& p) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// libstdc++'s ctype<char> fills its narrow()/widen() tables lazily, an
+/// entry at a time on first use, and std::regex compiles its patterns
+/// through them. The rules compile their function-local regexes on pool
+/// workers, so two workers compiling different patterns would write the
+/// same entries concurrently. Filling both tables on the calling thread
+/// before the fan-out leaves the workers only reads.
+void fill_ctype_tables() {
+  const auto& ctype = std::use_facet<std::ctype<char>>(std::locale());
+  for (int c = 0; c < 256; ++c) {
+    ctype.narrow(static_cast<char>(c), '\0');
+  }
+  ctype.widen('\0');
 }
 
 }  // namespace
@@ -100,6 +115,7 @@ std::vector<Diagnostic> lint_tree(const std::string& root,
     per_file[i] = run_rules(project.files.at(files[i]), project,
                             opts.check_unused_waivers);
   };
+  fill_ctype_tables();
   if (opts.jobs == 1) {
     for (std::size_t i = 0; i < files.size(); ++i) run_one(i);
   } else if (opts.jobs == 0) {
