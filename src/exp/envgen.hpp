@@ -193,11 +193,11 @@ class SimEnv {
   /// alone drives the job's own randomness (DAG skew, startup and task
   /// jitter), so placement never perturbs those draws. `on_complete` fires
   /// once the app finishes.
-  LaunchedJob launch_job(const spark::JobConfig& config,
-                         const std::string& job_name, std::size_t driver_node,
-                         std::uint64_t job_seed,
-                         std::function<void(const spark::AppResult&)> on_complete,
-                         const std::vector<std::string>& offered = {});
+  LaunchedJob launch_job(
+      const spark::JobConfig& config, const std::string& job_name,
+      std::size_t driver_node, std::uint64_t job_seed,
+      std::function<void(const spark::AppResult&)> on_complete,
+      const std::vector<std::string>& offered = {});
 
   /// Removes `job`'s pods from the API server and forgets them.
   void unbind(LaunchedJob& job);
