@@ -39,26 +39,25 @@ int main() {
       const std::uint64_t job_seed = seed ^ 0xfeedULL;
 
       // The ranking uses a snapshot taken `staleness` seconds before launch.
+      exp::SimEnv world(seed);
+      world.warmup();
       std::vector<std::size_t> ranking;
-      std::size_t n_nodes = 0;
+      const std::size_t n_nodes = world.node_names().size();
       {
-        exp::SimEnv env(seed);
-        env.warmup();
-        const auto snapshot = env.snapshot();
-        n_nodes = env.node_names().size();
+        const auto snapshot = world.snapshot();
         core::LtsScheduler scheduler(
-            core::TelemetryFetcher(env.tsdb(), env.node_names()), model);
+            core::TelemetryFetcher(world.tsdb(), world.node_names()), model);
         const auto decision =
             scheduler.schedule_from_snapshot(snapshot, scenario.config);
         for (const auto& p : decision.ranking) {
-          ranking.push_back(env.cluster().node_index(p.node));
+          ranking.push_back(world.cluster().node_index(p.node));
         }
       }
-      // Truth: jobs launch `staleness` seconds later.
+      // Truth: jobs launch `staleness` seconds later, on copies of the
+      // world the ranking saw.
       std::vector<double> durations;
       for (std::size_t node = 0; node < n_nodes; ++node) {
-        exp::SimEnv env(seed);
-        env.warmup();
+        exp::SimEnv env(world);
         env.engine().run_until(env.options().warmup + staleness);
         durations.push_back(
             env.run_job(scenario.config, node, job_seed).duration());

@@ -40,8 +40,7 @@ std::pair<double, double> eval_bandit(const core::BanditScheduler& bandit,
     // all values; cheaper: compute full value ranking here.
     std::vector<double> durations;
     for (std::size_t n = 0; n < probe.node_names().size(); ++n) {
-      exp::SimEnv env(seed);
-      env.warmup();
+      exp::SimEnv env(probe);
       durations.push_back(
           env.run_job(scenario.config, n, seed ^ 0xF00D).duration());
     }

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -39,12 +38,16 @@ class BackgroundLoad {
   BackgroundLoad(Cluster& cluster, std::size_t client_node,
                  std::size_t server_node, BackgroundLoadOptions options,
                  Rng rng);
+  /// A copy of `other`, mid-fetch state and Rng included, on `cluster` (a
+  /// copy of other's cluster).
+  BackgroundLoad(const BackgroundLoad& other, Cluster& cluster);
   ~BackgroundLoad();
 
-  BackgroundLoad(const BackgroundLoad&) = delete;
   BackgroundLoad& operator=(const BackgroundLoad&) = delete;
 
   void start();
+  /// Schedules start() `delay` seconds from now.
+  void start_in(SimTime delay);
   void stop();
   bool running() const { return running_; }
 
@@ -60,10 +63,22 @@ class BackgroundLoad {
     sim::EventId pause_event = sim::kInvalidEvent;
   };
 
+  /// What an event addressed to this load does (Event::payload); the
+  /// target is the loop index.
+  enum : std::uint64_t { kStart, kBeginFetch, kEndFetch };
+
+  /// Member-wise copy; the public copy constructor rebinds it.
+  BackgroundLoad(const BackgroundLoad&) = default;
+
+  void on_event(std::uint32_t loop_idx, std::uint64_t action);
   void begin_fetch(std::size_t loop_idx);
   void end_fetch(std::size_t loop_idx);
+  sim::Event event(std::size_t loop_idx, std::uint64_t action) const {
+    return sim::Event{kind_, static_cast<std::uint32_t>(loop_idx), action};
+  }
 
-  Cluster& cluster_;
+  Cluster* cluster_;
+  sim::Kind kind_;
   std::size_t client_;
   std::size_t server_;
   BackgroundLoadOptions options_;

@@ -93,6 +93,21 @@ Cluster::Cluster(sim::Engine& engine, const ClusterSpec& spec)
                                               spec.flow_options);
 }
 
+Cluster::Cluster(const Cluster& other, sim::Engine& engine)
+    : engine_(engine),
+      topo_(other.topo_),
+      flows_(std::make_unique<net::FlowManager>(*other.flows_, engine, topo_)),
+      node_uplinks_(other.node_uplinks_),
+      site_names_(other.site_names_),
+      site_routers_(other.site_routers_),
+      wan_links_(other.wan_links_),
+      node_down_(other.node_down_) {
+  nodes_.reserve(other.nodes_.size());
+  for (const auto& node : other.nodes_) {
+    nodes_.push_back(std::make_unique<Node>(*node, engine));
+  }
+}
+
 void Cluster::set_node_down(std::size_t node, bool down) {
   LTS_REQUIRE(node < node_down_.size(), "Cluster: node index");
   node_down_[node] = down ? 1 : 0;

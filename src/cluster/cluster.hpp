@@ -74,6 +74,9 @@ ClusterSpec paper_cluster_spec();
 class Cluster {
  public:
   Cluster(sim::Engine& engine, const ClusterSpec& spec);
+  /// A copy of `other` — topology, flows, nodes, liveness — driven by
+  /// `engine`, a copy of other's engine.
+  Cluster(const Cluster& other, sim::Engine& engine);
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;

@@ -12,9 +12,16 @@ constexpr double kWorkEpsilon = 1e-9;
 }
 
 CpuPool::CpuPool(sim::Engine& engine, double cores)
-    : engine_(engine), cores_(cores) {
+    : engine_(&engine),
+      kind_(engine.add_handler<&CpuPool::handle_completion_event>(this)),
+      cores_(cores) {
   LTS_REQUIRE(cores > 0.0, "CpuPool: cores must be positive");
-  last_update_ = engine_.now();
+  last_update_ = engine_->now();
+}
+
+CpuPool::CpuPool(const CpuPool& other, sim::Engine& engine) : CpuPool(other) {
+  engine_ = &engine;
+  engine_->rebind_handler<&CpuPool::handle_completion_event>(kind_, this);
 }
 
 CpuTaskId CpuPool::run(double demand_cores, double work_core_seconds,
@@ -25,7 +32,7 @@ CpuTaskId CpuPool::run(double demand_cores, double work_core_seconds,
   Task task;
   task.demand = demand_cores;
   task.remaining = work_core_seconds;
-  task.on_complete = std::move(on_complete);
+  task.on_complete = engine_->closure(std::move(on_complete));
   const CpuTaskId id = next_id_++;
   tasks_.emplace(id, std::move(task));
   recompute_rates();
@@ -48,7 +55,10 @@ CpuTaskId CpuPool::add_persistent(double demand_cores) {
 
 void CpuPool::cancel(CpuTaskId id) {
   advance();
-  if (tasks_.erase(id) > 0) {
+  const auto it = tasks_.find(id);
+  if (it != tasks_.end()) {
+    engine_->discard(it->second.on_complete);
+    tasks_.erase(it);
     recompute_rates();
     schedule_next_completion();
   }
@@ -59,7 +69,7 @@ double CpuPool::utilization() const {
 }
 
 void CpuPool::advance() {
-  const SimTime now = engine_.now();
+  const SimTime now = engine_->now();
   const SimTime dt = now - last_update_;
   if (dt <= 0.0) {
     last_update_ = now;
@@ -87,7 +97,7 @@ void CpuPool::recompute_rates() {
 
 void CpuPool::schedule_next_completion() {
   if (completion_event_ != sim::kInvalidEvent) {
-    engine_.cancel(completion_event_);
+    engine_->cancel(completion_event_);
     completion_event_ = sim::kInvalidEvent;
   }
   SimTime earliest = std::numeric_limits<SimTime>::infinity();
@@ -97,14 +107,14 @@ void CpuPool::schedule_next_completion() {
     earliest = std::min(earliest, t.remaining / t.rate);
   }
   if (!std::isfinite(earliest)) return;
-  completion_event_ = engine_.schedule_in(
-      std::max(earliest, 0.0), [this] { handle_completion_event(); });
+  completion_event_ =
+      engine_->schedule_in(std::max(earliest, 0.0), sim::Event{kind_});
 }
 
-void CpuPool::handle_completion_event() {
+void CpuPool::handle_completion_event(std::uint32_t, std::uint64_t) {
   completion_event_ = sim::kInvalidEvent;
   advance();
-  std::vector<std::function<void()>> callbacks;
+  std::vector<sim::Event> callbacks;
   for (auto it = tasks_.begin(); it != tasks_.end();) {
     // Done when remaining work is negligible OR would finish within a
     // nanosecond (guards against zero-progress loops once remaining/rate
@@ -112,8 +122,8 @@ void CpuPool::handle_completion_event() {
     if (std::isfinite(it->second.remaining) &&
         it->second.remaining <=
             std::max(kWorkEpsilon, it->second.rate * 1e-9)) {
-      if (it->second.on_complete) {
-        callbacks.push_back(std::move(it->second.on_complete));
+      if (!it->second.on_complete.empty()) {
+        callbacks.push_back(it->second.on_complete);
       }
       it = tasks_.erase(it);
     } else {
@@ -122,7 +132,7 @@ void CpuPool::handle_completion_event() {
   }
   recompute_rates();
   schedule_next_completion();
-  for (auto& cb : callbacks) cb();
+  for (const auto& cb : callbacks) engine_->fire(cb);
 }
 
 }  // namespace lts::cluster

@@ -23,8 +23,9 @@ inline constexpr CpuTaskId kInvalidCpuTask = 0;
 class CpuPool {
  public:
   CpuPool(sim::Engine& engine, double cores);
+  /// A copy of `other` driven by `engine`, a copy of other's engine.
+  CpuPool(const CpuPool& other, sim::Engine& engine);
 
-  CpuPool(const CpuPool&) = delete;
   CpuPool& operator=(const CpuPool&) = delete;
 
   /// Runs a task needing `work` core-seconds at a parallelism of up to
@@ -56,15 +57,19 @@ class CpuPool {
     double demand = 0.0;
     double remaining = 0.0;  // core-seconds; infinity for persistent
     double rate = 0.0;       // core-seconds per second
-    std::function<void()> on_complete;
+    sim::Event on_complete;
   };
+
+  /// Member-wise copy; the public copy constructor rebinds it.
+  CpuPool(const CpuPool&) = default;
 
   void advance();
   void recompute_rates();
   void schedule_next_completion();
-  void handle_completion_event();
+  void handle_completion_event(std::uint32_t, std::uint64_t);
 
-  sim::Engine& engine_;
+  sim::Engine* engine_;
+  sim::Kind kind_;
   double cores_;
   double total_demand_ = 0.0;
   std::uint64_t next_id_ = 1;

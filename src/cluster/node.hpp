@@ -16,6 +16,8 @@ class Node {
  public:
   Node(sim::Engine& engine, std::string name, std::string site,
        net::VertexId vertex, double cores, Bytes memory);
+  /// A copy of `other` whose CPU pool runs on `engine` (see CpuPool).
+  Node(const Node& other, sim::Engine& engine);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;

@@ -6,7 +6,9 @@
 // pods (§5.2). Everything is a deterministic function of the seed, so
 // rebuilding a SimEnv with the same seed and running the same job with a
 // *different* driver node is an exact counterfactual — the basis of the
-// Table 4 ground truth.
+// Table 4 ground truth. A SimEnv can also be copied: the copy is the same
+// world at the same instant, so a counterfactual may branch from one warmed
+// world instead of re-warming a fresh one.
 #pragma once
 
 #include <functional>
@@ -166,11 +168,17 @@ class SimEnv {
  public:
   explicit SimEnv(std::uint64_t seed, EnvOptions options = {});
 
-  SimEnv(const SimEnv&) = delete;
+  /// The same world at the same instant: every pending event, RNG stream,
+  /// EMA, epoch, id counter and binding. Running a job on the copy gives
+  /// exactly what running it on `other` would, and leaves `other` as it
+  /// was. Throws lts::Error while a job or any other closure is in flight
+  /// (see sim::Engine's copy).
+  SimEnv(const SimEnv& other);
   SimEnv& operator=(const SimEnv&) = delete;
 
   sim::Engine& engine() { return engine_; }
   cluster::Cluster& cluster() { return *cluster_; }
+  const cluster::Cluster& cluster() const { return *cluster_; }
   const telemetry::Tsdb& tsdb() const { return stack_->tsdb(); }
   k8s::ApiServer& api() { return api_; }
   k8s::DefaultScheduler& kube_scheduler() { return *kube_scheduler_; }
@@ -210,7 +218,7 @@ class SimEnv {
 
   /// Full ranking the default Kubernetes scheduler would produce for this
   /// job's driver pod right now (the Table 4 baseline).
-  k8s::ScheduleResult kube_ranking(const spark::JobConfig& config);
+  k8s::ScheduleResult kube_ranking(const spark::JobConfig& config) const;
 
   /// Background load pods active in this environment (for inspection).
   std::size_t num_background_pods() const { return background_.size(); }

@@ -43,8 +43,9 @@ bool hit_topk(const std::vector<std::size_t>& ranking, std::size_t fastest,
 }
 
 /// Scenario s of the evaluation: every method's ranking from the state at
-/// warmup time, then the counterfactual truth. A pure function of
-/// (options, s), so scenarios may run concurrently.
+/// warmup time, then the counterfactual truth, each run on a copy of the
+/// same warmed world. A pure function of (options, s), so scenarios may run
+/// concurrently.
 ScenarioOutcome evaluate_scenario(const std::vector<MethodUnderTest>& models,
                                   const std::vector<Scenario>& matrix,
                                   const EvalOptions& options, std::size_t s) {
@@ -59,10 +60,14 @@ ScenarioOutcome evaluate_scenario(const std::vector<MethodUnderTest>& models,
   outcome.seed = seed;
   std::size_t n = 0;
 
+  SimEnv world(seed, options.env);
+  world.warmup();
+
   // --- method rankings, all from the state at warmup time -------------
+  // Through a const view: ranking reads the warmed world and cannot
+  // change what the counterfactual copies below start from.
   {
-    SimEnv env(seed, options.env);
-    env.warmup();
+    const SimEnv& env = world;
     const auto snapshot = env.snapshot();
     n = env.node_names().size();
 
@@ -120,11 +125,12 @@ ScenarioOutcome evaluate_scenario(const std::vector<MethodUnderTest>& models,
   }
 
   // --- counterfactual ground truth -------------------------------------
+  // Each run branches from the warmed world: a copy is the same state a
+  // fresh SimEnv(seed).warmup() would reach, without re-simulating it.
   for (std::size_t node = 0; node < n; ++node) {
     double total = 0.0;
     for (int rep = 0; rep < options.truth_repeats; ++rep) {
-      SimEnv env(seed, options.env);
-      env.warmup();
+      SimEnv env(world);
       const auto run = env.run_job(
           scenario.config, node,
           job_seed + 0x9e3779b9ULL * static_cast<std::uint64_t>(rep));

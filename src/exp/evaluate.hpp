@@ -2,13 +2,13 @@
 //
 // For each evaluation scenario, every method produces a full ranking of the
 // six candidate nodes from the same pre-launch telemetry snapshot. Ground
-// truth comes from counterfactual simulation: the identical environment
-// (same seed → same background load, same job randomness) is re-run once
-// per candidate driver node, and the node with the shortest measured
-// completion time is the "actual fastest node". A method scores a Top-k hit
-// when the actual fastest node appears among its k highest-ranked choices —
-// exactly the paper's §6 criterion, with the advantage that our fastest
-// node is exact rather than inferred post hoc.
+// truth comes from counterfactual simulation: the environment (same seed →
+// same background load, same job randomness) is warmed once, a copy of it
+// runs the job once per candidate driver node, and the node with the
+// shortest measured completion time is the "actual fastest node". A method
+// scores a Top-k hit when the actual fastest node appears among its k
+// highest-ranked choices — exactly the paper's §6 criterion, with the
+// advantage that our fastest node is exact rather than inferred post hoc.
 #pragma once
 
 #include <functional>

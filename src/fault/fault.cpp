@@ -87,14 +87,42 @@ std::vector<FaultSpec> faults_from_json(const Json& j) {
 FaultInjector::FaultInjector(sim::Engine& engine, cluster::Cluster& cluster,
                              telemetry::TelemetryStack* telemetry,
                              k8s::ApiServer* api)
-    : engine_(engine), cluster_(cluster), telemetry_(telemetry), api_(api) {}
+    : engine_(&engine),
+      cluster_(&cluster),
+      telemetry_(telemetry),
+      api_(api),
+      kind_(engine.add_handler<&FaultInjector::on_event>(this)) {}
+
+FaultInjector::FaultInjector(const FaultInjector& other, sim::Engine& engine,
+                             cluster::Cluster& cluster,
+                             telemetry::TelemetryStack* telemetry,
+                             k8s::ApiServer* api)
+    : FaultInjector(other) {
+  engine_ = &engine;
+  cluster_ = &cluster;
+  telemetry_ = telemetry;
+  api_ = api;
+  engine.rebind_handler<&FaultInjector::on_event>(kind_, this);
+}
 
 void FaultInjector::apply(const FaultSpec& spec) {
-  LTS_REQUIRE(spec.at >= engine_.now(), "fault: injection time is in the past");
-  engine_.schedule_at(spec.at, [this, spec] { inject(spec); });
+  LTS_REQUIRE(spec.at >= engine_->now(), "fault: injection time is in the past");
+  const std::uint64_t index = specs_.size();
+  specs_.push_back(spec);
+  engine_->schedule_at(spec.at, sim::Event{kind_, kInject, index});
   if (spec.duration > 0.0) {
-    engine_.schedule_at(spec.at + spec.duration,
-                        [this, spec] { recover(spec); });
+    engine_->schedule_at(spec.at + spec.duration,
+                         sim::Event{kind_, kRecover, index});
+  }
+}
+
+void FaultInjector::on_event(std::uint32_t action, std::uint64_t spec_index) {
+  // A copy, not a reference: the handler may apply() more faults.
+  const FaultSpec spec = specs_[spec_index];
+  if (action == kInject) {
+    inject(spec);
+  } else {
+    recover(spec);
   }
 }
 
@@ -167,15 +195,15 @@ void FaultInjector::recover(const FaultSpec& spec) {
 }
 
 void FaultInjector::crash_node(const std::string& node) {
-  const std::size_t idx = cluster_.node_index(node);
-  if (cluster_.node_down(idx)) return;
-  cluster_.set_node_down(idx, true);
+  const std::size_t idx = cluster_->node_index(node);
+  if (cluster_->node_down(idx)) return;
+  cluster_->set_node_down(idx, true);
   // The host hangs: both access-link directions collapse to a trickle, so
   // every transfer touching the node stalls. Exporters stop on their own
   // (they consult node_down before scraping).
-  cut_link_capacity(cluster_.node_uplink(idx), 0.0);
-  cut_link_capacity(cluster_.node_downlink(idx), 0.0);
-  cluster_.flows().invalidate_rates();
+  cut_link_capacity(cluster_->node_uplink(idx), 0.0);
+  cut_link_capacity(cluster_->node_downlink(idx), 0.0);
+  cluster_->flows().invalidate_rates();
   if (api_ != nullptr) api_->set_node_ready(node, false);
   // The node's exporters stop answering (they consult node_down): cached
   // snapshots must not keep serving its last pre-crash heartbeat age.
@@ -183,17 +211,17 @@ void FaultInjector::crash_node(const std::string& node) {
 }
 
 void FaultInjector::recover_node(const std::string& node) {
-  const std::size_t idx = cluster_.node_index(node);
-  if (!cluster_.node_down(idx)) return;
-  cluster_.set_node_down(idx, false);
-  restore_link(cluster_.node_uplink(idx));
-  restore_link(cluster_.node_downlink(idx));
+  const std::size_t idx = cluster_->node_index(node);
+  if (!cluster_->node_down(idx)) return;
+  cluster_->set_node_down(idx, false);
+  restore_link(cluster_->node_uplink(idx));
+  restore_link(cluster_->node_downlink(idx));
   // The host rebooted: its cumulative NIC counters restart from zero, so
   // the exporter's next scrape publishes a value below the pre-crash one.
   // Rate queries must treat that as a counter reset (Tsdb::rate does), not
   // as negative throughput.
-  cluster_.flows().reset_host_counters(cluster_.node(idx).vertex());
-  cluster_.flows().invalidate_rates();
+  cluster_->flows().reset_host_counters(cluster_->node(idx).vertex());
+  cluster_->flows().invalidate_rates();
   if (api_ != nullptr) api_->set_node_ready(node, true);
   // Counter semantics just changed under every cached snapshot.
   bump_telemetry_epoch();
@@ -207,24 +235,24 @@ void FaultInjector::degrade_wan_link(const std::string& site_a,
   const net::LinkId fwd = wan_forward_link(site_a, site_b);
   cut_link_capacity(fwd, 1.0 - capacity_cut_frac);
   cut_link_capacity(fwd + 1, 1.0 - capacity_cut_frac);
-  cluster_.flows().invalidate_rates();
+  cluster_->flows().invalidate_rates();
 }
 
 void FaultInjector::degrade_node_link(const std::string& node,
                                       double capacity_cut_frac) {
   LTS_REQUIRE(capacity_cut_frac >= 0.0 && capacity_cut_frac <= 1.0,
               "fault: capacity cut fraction must be in [0, 1]");
-  const std::size_t idx = cluster_.node_index(node);
-  cut_link_capacity(cluster_.node_uplink(idx), 1.0 - capacity_cut_frac);
-  cut_link_capacity(cluster_.node_downlink(idx), 1.0 - capacity_cut_frac);
-  cluster_.flows().invalidate_rates();
+  const std::size_t idx = cluster_->node_index(node);
+  cut_link_capacity(cluster_->node_uplink(idx), 1.0 - capacity_cut_frac);
+  cut_link_capacity(cluster_->node_downlink(idx), 1.0 - capacity_cut_frac);
+  cluster_->flows().invalidate_rates();
 }
 
 void FaultInjector::restore_node_link(const std::string& node) {
-  const std::size_t idx = cluster_.node_index(node);
-  restore_link(cluster_.node_uplink(idx));
-  restore_link(cluster_.node_downlink(idx));
-  cluster_.flows().invalidate_rates();
+  const std::size_t idx = cluster_->node_index(node);
+  restore_link(cluster_->node_uplink(idx));
+  restore_link(cluster_->node_downlink(idx));
+  cluster_->flows().invalidate_rates();
 }
 
 void FaultInjector::spike_wan_rtt(const std::string& site_a,
@@ -234,7 +262,7 @@ void FaultInjector::spike_wan_rtt(const std::string& site_a,
   const net::LinkId fwd = wan_forward_link(site_a, site_b);
   add_link_delay(fwd, extra_one_way_delay);
   add_link_delay(fwd + 1, extra_one_way_delay);
-  cluster_.flows().invalidate_rates();
+  cluster_->flows().invalidate_rates();
 }
 
 void FaultInjector::restore_wan_link(const std::string& site_a,
@@ -242,28 +270,28 @@ void FaultInjector::restore_wan_link(const std::string& site_a,
   const net::LinkId fwd = wan_forward_link(site_a, site_b);
   restore_link(fwd);
   restore_link(fwd + 1);
-  cluster_.flows().invalidate_rates();
+  cluster_->flows().invalidate_rates();
 }
 
 void FaultInjector::partition_site(const std::string& site) {
   bool touched = false;
-  for (const auto& wan : cluster_.wan_links()) {
+  for (const auto& wan : cluster_->wan_links()) {
     if (wan.site_a != site && wan.site_b != site) continue;
     cut_link_capacity(wan.forward, 0.0);
     cut_link_capacity(wan.forward + 1, 0.0);
     touched = true;
   }
   LTS_REQUIRE(touched, "fault: no WAN links touch site: " + site);
-  cluster_.flows().invalidate_rates();
+  cluster_->flows().invalidate_rates();
 }
 
 void FaultInjector::heal_site(const std::string& site) {
-  for (const auto& wan : cluster_.wan_links()) {
+  for (const auto& wan : cluster_->wan_links()) {
     if (wan.site_a != site && wan.site_b != site) continue;
     restore_link(wan.forward);
     restore_link(wan.forward + 1);
   }
-  cluster_.flows().invalidate_rates();
+  cluster_->flows().invalidate_rates();
 }
 
 // The exporter setters bump the TSDB epoch themselves (lts_lint R6: the
@@ -293,7 +321,7 @@ void FaultInjector::restore_retrains() { retrain_fail_active_ = false; }
 
 net::LinkId FaultInjector::wan_forward_link(const std::string& site_a,
                                             const std::string& site_b) const {
-  for (const auto& wan : cluster_.wan_links()) {
+  for (const auto& wan : cluster_->wan_links()) {
     if ((wan.site_a == site_a && wan.site_b == site_b) ||
         (wan.site_a == site_b && wan.site_b == site_a)) {
       return wan.forward;
@@ -310,31 +338,31 @@ telemetry::NodeExporter& FaultInjector::exporter_for(const std::string& node) {
   LTS_REQUIRE(telemetry_ != nullptr,
               "fault: exporter faults need a TelemetryStack");
   // TelemetryStack builds one NodeExporter per cluster node, in node order.
-  return telemetry_->node_exporter(cluster_.node_index(node));
+  return telemetry_->node_exporter(cluster_->node_index(node));
 }
 
 void FaultInjector::cut_link_capacity(net::LinkId l, double keep_frac) {
   // First touch records the pristine capacity, so repeated or overlapping
   // cuts never compound and restore always returns to the original.
   const auto [it, inserted] =
-      saved_links_.try_emplace(l, SavedLink{cluster_.topology().link(l).capacity,
-                                            cluster_.topology().link(l).prop_delay});
-  cluster_.topology().set_link_capacity(
+      saved_links_.try_emplace(l, SavedLink{cluster_->topology().link(l).capacity,
+                                            cluster_->topology().link(l).prop_delay});
+  cluster_->topology().set_link_capacity(
       l, std::max(kDeadLinkRate, it->second.capacity * keep_frac));
 }
 
 void FaultInjector::add_link_delay(net::LinkId l, SimTime extra) {
   const auto [it, inserted] =
-      saved_links_.try_emplace(l, SavedLink{cluster_.topology().link(l).capacity,
-                                            cluster_.topology().link(l).prop_delay});
-  cluster_.topology().set_link_prop_delay(l, it->second.prop_delay + extra);
+      saved_links_.try_emplace(l, SavedLink{cluster_->topology().link(l).capacity,
+                                            cluster_->topology().link(l).prop_delay});
+  cluster_->topology().set_link_prop_delay(l, it->second.prop_delay + extra);
 }
 
 void FaultInjector::restore_link(net::LinkId l) {
   const auto it = saved_links_.find(l);
   if (it == saved_links_.end()) return;  // never faulted: nothing to restore
-  cluster_.topology().set_link_capacity(l, it->second.capacity);
-  cluster_.topology().set_link_prop_delay(l, it->second.prop_delay);
+  cluster_->topology().set_link_capacity(l, it->second.capacity);
+  cluster_->topology().set_link_prop_delay(l, it->second.prop_delay);
   saved_links_.erase(it);
 }
 

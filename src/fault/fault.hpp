@@ -73,8 +73,12 @@ class FaultInjector {
   FaultInjector(sim::Engine& engine, cluster::Cluster& cluster,
                 telemetry::TelemetryStack* telemetry = nullptr,
                 k8s::ApiServer* api = nullptr);
+  /// A copy of `other` — its schedule, saved links and counters — acting on
+  /// copies of other's engine, cluster, telemetry and API server.
+  FaultInjector(const FaultInjector& other, sim::Engine& engine,
+                cluster::Cluster& cluster,
+                telemetry::TelemetryStack* telemetry, k8s::ApiServer* api);
 
-  FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   /// Schedules injection at `spec.at` and, if `spec.duration > 0`, recovery
@@ -118,6 +122,14 @@ class FaultInjector {
   int recovered() const { return recovered_; }
 
  private:
+  /// Which half of an applied fault an event fires (Event::target); the
+  /// payload indexes specs_.
+  enum : std::uint32_t { kInject, kRecover };
+
+  /// Member-wise copy; the public copy constructor rebinds it.
+  FaultInjector(const FaultInjector&) = default;
+
+  void on_event(std::uint32_t action, std::uint64_t spec_index);
   void inject(const FaultSpec& spec);
   void recover(const FaultSpec& spec);
   /// Forward link id of the WAN edge between two sites (either order).
@@ -134,10 +146,12 @@ class FaultInjector {
   void add_link_delay(net::LinkId l, SimTime extra);
   void restore_link(net::LinkId l);
 
-  sim::Engine& engine_;
-  cluster::Cluster& cluster_;
+  sim::Engine* engine_;
+  cluster::Cluster* cluster_;
   telemetry::TelemetryStack* telemetry_;
   k8s::ApiServer* api_;
+  sim::Kind kind_;
+  std::vector<FaultSpec> specs_;  // every applied fault, by apply() order
 
   struct SavedLink {
     Rate capacity;

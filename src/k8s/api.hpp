@@ -37,8 +37,7 @@ class ApiServer {
   const std::string& pod_node(const std::string& pod_name) const;
 
   /// Number of pods bound to `node_name` whose labels contain
-  /// (label_key, label_value). Used by the anti-affinity / topology-spread
-  /// plugins.
+  /// (label_key, label_value).
   int count_pods_with_label(const std::string& node_name,
                             const std::string& label_key,
                             const std::string& label_value) const;

@@ -87,35 +87,6 @@ class TaintTolerationScore : public ScorePlugin {
   double score(const PodSpec& pod, const NodeEntry& node) const override;
 };
 
-/// InterPodAntiAffinity (preferred): penalizes nodes already hosting pods
-/// matching the pod's anti-affinity label. Not part of the upstream
-/// default-plugin set this reproduction's baseline uses; register it
-/// explicitly (DefaultScheduler::bare + add_score) to model operators that
-/// spread a job's executors.
-class PodAntiAffinityScore : public ScorePlugin {
- public:
-  explicit PodAntiAffinityScore(const ApiServer& api) : api_(api) {}
-  std::string name() const override { return "PodAntiAffinity"; }
-  double score(const PodSpec& pod, const NodeEntry& node) const override;
-
- private:
-  const ApiServer& api_;
-};
-
-/// PodTopologySpread (zone level): prefers nodes whose topology zone
-/// (label "topology.kubernetes.io/zone") currently hosts the fewest pods
-/// matching the pod's anti-affinity label — evening a job's pods across
-/// sites. Register explicitly, like PodAntiAffinityScore.
-class TopologySpreadScore : public ScorePlugin {
- public:
-  explicit TopologySpreadScore(const ApiServer& api) : api_(api) {}
-  std::string name() const override { return "TopologySpread"; }
-  double score(const PodSpec& pod, const NodeEntry& node) const override;
-
- private:
-  const ApiServer& api_;
-};
-
 // ---- Scheduler -------------------------------------------------------------
 
 struct ScoredNode {
@@ -141,6 +112,9 @@ class DefaultScheduler {
  public:
   /// Constructs with the upstream default plugin set.
   explicit DefaultScheduler(const ApiServer& api, std::uint64_t seed = 1);
+  /// A copy of `other` (plugins and tie-break Rng state) reading `api`.
+  /// Plugins are shared, not cloned: they are stateless.
+  DefaultScheduler(const DefaultScheduler& other, const ApiServer& api);
 
   /// Empty plugin sets; add your own (used by plugin unit tests).
   static DefaultScheduler bare(const ApiServer& api, std::uint64_t seed = 1);
@@ -156,10 +130,10 @@ class DefaultScheduler {
  private:
   DefaultScheduler(const ApiServer& api, std::uint64_t seed, bool with_defaults);
 
-  const ApiServer& api_;
+  const ApiServer* api_;
   Rng rng_;
-  std::vector<std::unique_ptr<FilterPlugin>> filters_;
-  std::vector<std::pair<std::unique_ptr<ScorePlugin>, double>> scores_;
+  std::vector<std::shared_ptr<const FilterPlugin>> filters_;
+  std::vector<std::pair<std::shared_ptr<const ScorePlugin>, double>> scores_;
 };
 
 }  // namespace lts::k8s

@@ -35,11 +35,12 @@ struct RecomputeMetrics {
 
 FlowManager::FlowManager(sim::Engine& engine, const Topology& topo,
                          FlowOptions options)
-    : engine_(engine),
-      topo_(topo),
+    : engine_(&engine),
+      topo_(&topo),
+      kind_(engine.add_handler<&FlowManager::on_event>(this)),
       options_(options),
       obs_enabled_(obs::MetricsRegistry::global().enabled_flag()) {
-  const std::size_t links = topo_.num_links();
+  const std::size_t links = topo_->num_links();
   link_alloc_.assign(links, 0.0);
   alloc_epoch_.assign(links, 0);
   residual_.assign(links, 0.0);
@@ -47,7 +48,7 @@ FlowManager::FlowManager(sim::Engine& engine, const Topology& topo,
   link_count_.assign(links, 0);
   count_epoch_.assign(links, 0);
   bottleneck_epoch_.assign(links, 0);
-  const std::size_t vertices = topo_.num_vertices();
+  const std::size_t vertices = topo_->num_vertices();
   tx_head_.assign(vertices, kNoSlot);
   tx_tail_.assign(vertices, kNoSlot);
   rx_head_.assign(vertices, kNoSlot);
@@ -60,23 +61,40 @@ FlowManager::FlowManager(sim::Engine& engine, const Topology& topo,
   // ownership on the hot path and the partition is fixed at construction
   // time (fault injection mutates capacities/delays, never sites).
   if (options_.solver == SolverMode::kHierarchical) {
-    num_sites_ = topo_.num_sites();
+    num_sites_ = topo_->num_sites();
     link_site_.resize(links);
     for (std::size_t l = 0; l < links; ++l) {
-      link_site_[l] = topo_.link_site(static_cast<LinkId>(l));
+      link_site_[l] = topo_->link_site(static_cast<LinkId>(l));
     }
     site_scratch_.resize(static_cast<std::size_t>(num_sites_));
     site_coupled_.assign(static_cast<std::size_t>(num_sites_), 0);
   }
-  last_update_ = engine_.now();
+  last_update_ = engine_->now();
+}
+
+FlowManager::FlowManager(const FlowManager& other, sim::Engine& engine,
+                         const Topology& topo)
+    : FlowManager(other) {
+  engine_ = &engine;
+  topo_ = &topo;
+  engine_->rebind_handler<&FlowManager::on_event>(kind_, this);
+}
+
+void FlowManager::on_event(std::uint32_t target, std::uint64_t) {
+  if (target == kFlushEvent) {
+    flush_event_ = sim::kInvalidEvent;
+    flush();
+  } else {
+    handle_completion_event();
+  }
 }
 
 std::int32_t FlowManager::classify_site(VertexId src, VertexId dst,
                                         const LinkId* path,
                                         std::uint32_t path_len) const {
   if (num_sites_ == 0) return -1;
-  const int site = topo_.vertex_site(src);
-  if (site < 0 || topo_.vertex_site(dst) != site) return -1;
+  const int site = topo_->vertex_site(src);
+  if (site < 0 || topo_->vertex_site(dst) != site) return -1;
   for (std::uint32_t k = 0; k < path_len; ++k) {
     if (link_site_[static_cast<std::size_t>(path[k])] != site) return -1;
   }
@@ -129,7 +147,7 @@ void FlowManager::release_slot(std::uint32_t slot) {
   --rx_count_[dst];
   live_path_words_ -= f.path_len;
   f.id = kInvalidFlow;
-  f.on_complete = nullptr;
+  f.on_complete = sim::Event{};
   free_slots_.push_back(slot);
 }
 
@@ -154,11 +172,19 @@ void FlowManager::maybe_compact_arena() {
 
 FlowId FlowManager::start(VertexId src, VertexId dst, Bytes size,
                           std::function<void()> on_complete) {
+  // Checked before the closure is stored, so a rejected call leaks nothing.
+  LTS_REQUIRE(size > 0.0, "FlowManager: flow size must be positive");
+  LTS_REQUIRE(src != dst, "FlowManager: flow to self");
+  return start(src, dst, size, engine_->closure(std::move(on_complete)));
+}
+
+FlowId FlowManager::start(VertexId src, VertexId dst, Bytes size,
+                          sim::Event on_complete) {
   LTS_REQUIRE(size > 0.0, "FlowManager: flow size must be positive");
   LTS_REQUIRE(src != dst, "FlowManager: flow to self");
   advance();
   const SimTime rtt = base_rtt(src, dst);
-  const auto& route = topo_.route(src, dst);
+  const auto& route = topo_->route(src, dst);
   const std::uint32_t slot = acquire_slot();
   Flow& f = slots_[slot];
   f.id = next_id_++;
@@ -174,7 +200,7 @@ FlowId FlowManager::start(VertexId src, VertexId dst, Bytes size,
   live_path_words_ += f.path_len;
   f.site = classify_site(src, dst, path_arena_.data() + f.path_begin,
                          f.path_len);
-  f.on_complete = std::move(on_complete);
+  f.on_complete = on_complete;
   // Tail insertion: new ids are maximal, so both lists stay in id order.
   const auto srci = static_cast<std::size_t>(src);
   const auto dsti = static_cast<std::size_t>(dst);
@@ -209,6 +235,7 @@ void FlowManager::cancel(FlowId id) {
       by_id_.begin(), by_id_.end(), id,
       [this](std::uint32_t s, FlowId v) { return slots_[s].id < v; });
   by_id_.erase(it);
+  engine_->discard(slots_[slot].on_complete);
   release_slot(slot);
   maybe_compact_arena();
   mark_dirty();
@@ -227,17 +254,15 @@ void FlowManager::mark_dirty() {
   // first rate observation before the hook fires flushes early instead;
   // either way no stale rate is ever visible and no simulated time passes
   // while the allocation is stale.
-  flush_event_ = engine_.schedule_in(0.0, [this] {
-    flush_event_ = sim::kInvalidEvent;
-    flush();
-  });
+  flush_event_ =
+      engine_->schedule_in(0.0, sim::Event{kind_, kFlushEvent});
 }
 
 void FlowManager::flush() {
   if (!dirty_) return;
   dirty_ = false;
   if (flush_event_ != sim::kInvalidEvent) {
-    engine_.cancel(flush_event_);
+    engine_->cancel(flush_event_);
     flush_event_ = sim::kInvalidEvent;
   }
   // Byte accounting first, at the pre-mutation rates (a no-op in practice:
@@ -254,7 +279,7 @@ FlowInfo FlowManager::info(FlowId id) const {
   // const_cast-free lazy accounting: report based on last_update_ plus
   // extrapolation at the current rate.
   const Flow& f = slots_[slot];
-  const SimTime dt = engine_.now() - last_update_;
+  const SimTime dt = engine_->now() - last_update_;
   const Bytes extra = std::min(f.remaining, f.rate * dt);
   return FlowInfo{f.src, f.dst, f.total, f.total - f.remaining + extra,
                   f.rate};
@@ -264,7 +289,7 @@ double FlowManager::link_utilization(LinkId link) const {
   ensure_fresh();
   LTS_REQUIRE(link >= 0 && static_cast<std::size_t>(link) < link_alloc_.size(),
               "FlowManager: bad link id");
-  const Rate cap = topo_.link(link).capacity;
+  const Rate cap = topo_->link(link).capacity;
   const auto li = static_cast<std::size_t>(link);
   // Links untouched by the last fill carry no allocation; their stale array
   // entries are simply never read.
@@ -280,18 +305,18 @@ SimTime FlowManager::link_queue_delay(LinkId link) const {
 
 SimTime FlowManager::current_rtt(VertexId a, VertexId b) const {
   SimTime total = 2.0 * options_.host_stack_delay;
-  for (const LinkId lid : topo_.route(a, b)) {
-    total += topo_.link(lid).prop_delay + link_queue_delay(lid);
+  for (const LinkId lid : topo_->route(a, b)) {
+    total += topo_->link(lid).prop_delay + link_queue_delay(lid);
   }
-  for (const LinkId lid : topo_.route(b, a)) {
-    total += topo_.link(lid).prop_delay + link_queue_delay(lid);
+  for (const LinkId lid : topo_->route(b, a)) {
+    total += topo_->link(lid).prop_delay + link_queue_delay(lid);
   }
   return total;
 }
 
 SimTime FlowManager::base_rtt(VertexId a, VertexId b) const {
-  return 2.0 * options_.host_stack_delay + topo_.path_prop_delay(a, b) +
-         topo_.path_prop_delay(b, a);
+  return 2.0 * options_.host_stack_delay + topo_->path_prop_delay(a, b) +
+         topo_->path_prop_delay(b, a);
 }
 
 Bytes FlowManager::host_tx_bytes(VertexId host) const {
@@ -299,7 +324,7 @@ Bytes FlowManager::host_tx_bytes(VertexId host) const {
               "FlowManager: bad host id");
   ensure_fresh();
   Bytes total = host_tx_[static_cast<std::size_t>(host)];
-  const SimTime dt = engine_.now() - last_update_;
+  const SimTime dt = engine_->now() - last_update_;
   for (std::uint32_t s = tx_head_[static_cast<std::size_t>(host)];
        s != kNoSlot; s = slots_[s].tx_next) {
     const Flow& f = slots_[s];
@@ -313,7 +338,7 @@ Bytes FlowManager::host_rx_bytes(VertexId host) const {
               "FlowManager: bad host id");
   ensure_fresh();
   Bytes total = host_rx_[static_cast<std::size_t>(host)];
-  const SimTime dt = engine_.now() - last_update_;
+  const SimTime dt = engine_->now() - last_update_;
   for (std::uint32_t s = rx_head_[static_cast<std::size_t>(host)];
        s != kNoSlot; s = slots_[s].rx_next) {
     const Flow& f = slots_[s];
@@ -363,7 +388,7 @@ std::size_t FlowManager::host_active_flows(VertexId host) const {
 }
 
 void FlowManager::advance() {
-  const SimTime now = engine_.now();
+  const SimTime now = engine_->now();
   const SimTime dt = now - last_update_;
   if (dt <= 0.0) {
     last_update_ = now;
@@ -559,7 +584,7 @@ std::size_t FlowManager::fill_flows(const std::vector<std::uint32_t>& flows,
           touched.push_back(lid);
           if (residual_epoch_[li] != fill_epoch) {
             residual_epoch_[li] = fill_epoch;
-            residual_[li] = topo_.link(lid).capacity;
+            residual_[li] = topo_->link(lid).capacity;
           }
         }
         ++link_count_[li];
@@ -644,7 +669,7 @@ void FlowManager::record_recompute_metrics(
 
 void FlowManager::schedule_next_completion() {
   if (completion_event_ != sim::kInvalidEvent) {
-    engine_.cancel(completion_event_);
+    engine_->cancel(completion_event_);
     completion_event_ = sim::kInvalidEvent;
   }
   if (completion_heap_.empty()) return;
@@ -652,8 +677,8 @@ void FlowManager::schedule_next_completion() {
   // relative to the last recompute, and every recompute rebuilds the heap,
   // so the offset base is always the current instant.
   completion_event_ =
-      engine_.schedule_in(std::max(completion_heap_.front().eta, 0.0),
-                          [this] { handle_completion_event(); });
+      engine_->schedule_in(std::max(completion_heap_.front().eta, 0.0),
+                           sim::Event{kind_, kCompletionEvent});
 }
 
 void FlowManager::handle_completion_event() {
@@ -670,7 +695,7 @@ void FlowManager::handle_completion_event() {
   }
   // Collect finished flows first: completion callbacks may start new flows,
   // which would invalidate any iteration state.
-  std::vector<std::function<void()>> callbacks;
+  std::vector<sim::Event> callbacks;
   bool removed = false;
   std::size_t w = 0;
   for (std::size_t i = 0; i < by_id_.size(); ++i) {
@@ -680,7 +705,7 @@ void FlowManager::handle_completion_event() {
     // finish within a nanosecond — the latter guards against zero-progress
     // event loops when remaining/rate underflows the clock's resolution.
     if (f.remaining <= std::max(kRemainingEpsilon, f.rate * 1e-9)) {
-      if (f.on_complete) callbacks.push_back(std::move(f.on_complete));
+      if (!f.on_complete.empty()) callbacks.push_back(f.on_complete);
       release_slot(s);
       ++completed_;
       removed = true;
@@ -702,7 +727,7 @@ void FlowManager::handle_completion_event() {
     recompute_rates();
     schedule_next_completion();
   }
-  for (auto& cb : callbacks) cb();
+  for (const auto& cb : callbacks) engine_->fire(cb);
 }
 
 }  // namespace lts::net

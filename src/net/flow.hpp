@@ -87,8 +87,12 @@ class FlowManager {
  public:
   FlowManager(sim::Engine& engine, const Topology& topo,
               FlowOptions options = {});
+  /// A copy of `other` — every flow, counter and pending event — driven by
+  /// `engine` (a copy of other's engine) over `topo` (a copy of other's
+  /// topology).
+  FlowManager(const FlowManager& other, sim::Engine& engine,
+              const Topology& topo);
 
-  FlowManager(const FlowManager&) = delete;
   FlowManager& operator=(const FlowManager&) = delete;
 
   /// Starts a transfer of `size` bytes from src to dst. `on_complete` fires
@@ -99,6 +103,9 @@ class FlowManager {
   /// event time share a single progressive fill.
   FlowId start(VertexId src, VertexId dst, Bytes size,
                std::function<void()> on_complete);
+  /// Same, with a typed continuation (see sim::Event), which keeps the
+  /// flow copyable along with its world.
+  FlowId start(VertexId src, VertexId dst, Bytes size, sim::Event on_complete);
 
   /// Aborts a flow; its callback never fires. No-op if already finished.
   /// Deferred-batched like start().
@@ -168,7 +175,7 @@ class FlowManager {
     return stats_;
   }
 
-  const Topology& topology() const { return topo_; }
+  const Topology& topology() const { return *topo_; }
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -195,8 +202,17 @@ class FlowManager {
     std::uint32_t tx_next = kNoSlot;
     std::uint32_t rx_prev = kNoSlot;
     std::uint32_t rx_next = kNoSlot;
-    std::function<void()> on_complete;
+    sim::Event on_complete;
   };
+
+  /// The engine's two events addressed to this manager (Event::target).
+  enum : std::uint32_t { kFlushEvent, kCompletionEvent };
+
+  /// Member-wise copy; the public copy constructor rebinds it.
+  FlowManager(const FlowManager&) = default;
+
+  /// Engine handler: the deferred flush or the completion event.
+  void on_event(std::uint32_t target, std::uint64_t);
 
   /// Predicted time-to-completion at current rates, keyed for the min-heap
   /// that replaces the O(flows) min-scan when (re)scheduling the completion
@@ -278,8 +294,9 @@ class FlowManager {
       // lts-lint: nondeterminism-ok(wall-clock type names the obs-only timing argument; no simulation state depends on it)
       std::size_t rounds, std::chrono::steady_clock::time_point wall_begin);
 
-  sim::Engine& engine_;
-  const Topology& topo_;
+  sim::Engine* engine_;
+  const Topology* topo_;
+  sim::Kind kind_;
   FlowOptions options_;
   // Cached once at construction (see simcore::Engine): skips the registry's
   // static-init guard on every recompute.

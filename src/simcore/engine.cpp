@@ -22,23 +22,63 @@ struct EngineMetrics {
     return m;
   }
 };
+
+constexpr EventId make_id(std::uint32_t slot, std::uint32_t gen) {
+  return (static_cast<EventId>(gen) << 32) | slot;
+}
 }  // namespace
 
+// Kinds 0 and 1 (no event, closure) have no handler entry of their own.
 Engine::Engine()
-    : obs_enabled_(obs::MetricsRegistry::global().enabled_flag()) {}
+    : obs_enabled_(obs::MetricsRegistry::global().enabled_flag()),
+      handlers_(2) {}
+
+Engine::Engine(const Engine& other)
+    : now_(other.now_),
+      next_seq_(other.next_seq_),
+      processed_(other.processed_),
+      obs_enabled_(other.obs_enabled_),
+      handlers_(other.handlers_.size()) {
+  LTS_REQUIRE(other.num_closures() == 0,
+              "Engine: cannot copy while a closure is pending (a job is in "
+              "flight)");
+  queue_ = other.queue_;
+  slots_ = other.slots_;
+  free_slots_ = other.free_slots_;
+}
 
 void Engine::record_step_metrics() {
   auto& metrics = EngineMetrics::get();
   metrics.events.inc();
-  metrics.queue_depth.set(static_cast<double>(handlers_.size()));
+  metrics.queue_depth.set(static_cast<double>(num_pending()));
+}
+
+EventId Engine::schedule_at(SimTime t, Event ev) {
+  LTS_REQUIRE(t >= now_, "Engine: cannot schedule event in the past");
+  LTS_REQUIRE(!ev.empty(), "Engine: cannot schedule an empty event");
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  slots_[slot].event = ev;
+  const EventId id = make_id(slot, slots_[slot].gen);
+  queue_.push(QueueEntry{t, next_seq_++, id});
+  return id;
 }
 
 EventId Engine::schedule_at(SimTime t, std::function<void()> fn) {
+  // Checked before the closure is stored, so a rejected call leaks nothing.
   LTS_REQUIRE(t >= now_, "Engine: cannot schedule event in the past");
-  const EventId id = next_seq_++;
-  queue_.push(QueueEntry{t, id});
-  handlers_.emplace(id, std::move(fn));
-  return id;
+  return schedule_at(t, closure(std::move(fn)));
+}
+
+EventId Engine::schedule_in(SimTime delay, Event ev) {
+  LTS_REQUIRE(delay >= 0.0, "Engine: negative delay");
+  return schedule_at(now_ + delay, ev);
 }
 
 EventId Engine::schedule_in(SimTime delay, std::function<void()> fn) {
@@ -46,28 +86,77 @@ EventId Engine::schedule_in(SimTime delay, std::function<void()> fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
+Event Engine::closure(std::function<void()> fn) {
+  if (!fn) return Event{};
+  std::uint32_t index;
+  if (!free_closures_.empty()) {
+    index = free_closures_.back();
+    free_closures_.pop_back();
+    closures_[index] = std::move(fn);
+  } else {
+    index = static_cast<std::uint32_t>(closures_.size());
+    closures_.push_back(std::move(fn));
+  }
+  return Event{kClosureKind, 0, index};
+}
+
+void Engine::fire(const Event& ev) {
+  if (ev.kind == kClosureKind) {
+    // Moved out and its slot freed first: the closure may schedule more.
+    auto fn = std::move(closures_[ev.payload]);
+    closures_[ev.payload] = nullptr;
+    free_closures_.push_back(static_cast<std::uint32_t>(ev.payload));
+    fn();
+    return;
+  }
+  if (ev.empty()) return;
+  const Handler h = handlers_[ev.kind];
+  LTS_ASSERT(h.fn != nullptr);
+  h.fn(h.self, ev.target, ev.payload);
+}
+
+void Engine::discard(const Event& ev) {
+  if (ev.kind != kClosureKind) return;
+  closures_[ev.payload] = nullptr;
+  free_closures_.push_back(static_cast<std::uint32_t>(ev.payload));
+}
+
+bool Engine::pending(EventId id) const {
+  const auto slot = static_cast<std::uint32_t>(id);
+  return slot < slots_.size() && slots_[slot].gen == (id >> 32);
+}
+
+Event Engine::release(EventId id) {
+  Slot& s = slots_[static_cast<std::uint32_t>(id)];
+  const Event ev = s.event;
+  s.event = Event{};
+  if (++s.gen == 0) s.gen = 1;  // generation 0 would match kInvalidEvent
+  free_slots_.push_back(static_cast<std::uint32_t>(id));
+  return ev;
+}
+
 bool Engine::cancel(EventId id) {
-  // Lazy deletion: drop the handler; the queue entry is skipped when popped.
-  return handlers_.erase(id) > 0;
+  // Lazy deletion: free the slot; the queue entry is skipped when popped.
+  if (!pending(id)) return false;
+  discard(release(id));
+  return true;
 }
 
 bool Engine::step() {
   while (!queue_.empty()) {
     const QueueEntry entry = queue_.top();
     queue_.pop();
-    auto it = handlers_.find(entry.id);
-    if (it == handlers_.end()) continue;  // cancelled
+    if (!pending(entry.id)) continue;  // cancelled
     LTS_ASSERT(entry.time >= now_);
     now_ = entry.time;
-    // Move the handler out before erasing so the callback may schedule or
-    // cancel events (including re-entrant use of the same id space).
-    auto fn = std::move(it->second);
-    handlers_.erase(it);
+    // Released before dispatch so the handler may schedule or cancel
+    // events, including into the slot it just vacated.
+    const Event ev = release(entry.id);
     ++processed_;
     if (obs_enabled_->load(std::memory_order_relaxed)) {
       record_step_metrics();
     }
-    fn();
+    fire(ev);
     return true;
   }
   return false;
@@ -82,7 +171,7 @@ void Engine::run_until(SimTime t) {
   LTS_REQUIRE(t >= now_, "Engine: run_until into the past");
   while (!queue_.empty()) {
     const QueueEntry entry = queue_.top();
-    if (handlers_.count(entry.id) == 0) {
+    if (!pending(entry.id)) {
       queue_.pop();
       continue;
     }
@@ -94,10 +183,24 @@ void Engine::run_until(SimTime t) {
 
 PeriodicTask::PeriodicTask(Engine& engine, SimTime interval, SimTime phase,
                            std::function<void()> fn)
-    : engine_(engine), interval_(interval), fn_(std::move(fn)) {
+    : engine_(engine),
+      interval_(interval),
+      fn_(std::move(fn)),
+      kind_(engine.add_handler<&PeriodicTask::arm>(this)) {
   LTS_REQUIRE(interval > 0.0, "PeriodicTask: interval must be positive");
   LTS_REQUIRE(phase >= 0.0, "PeriodicTask: negative phase");
-  pending_ = engine_.schedule_in(phase, [this] { arm(); });
+  pending_ = engine_.schedule_in(phase, Event{kind_});
+}
+
+PeriodicTask::PeriodicTask(const PeriodicTask& other, Engine& engine,
+                           std::function<void()> fn)
+    : engine_(engine),
+      interval_(other.interval_),
+      fn_(std::move(fn)),
+      kind_(other.kind_),
+      pending_(other.pending_),
+      running_(other.running_) {
+  engine_.rebind_handler<&PeriodicTask::arm>(kind_, this);
 }
 
 PeriodicTask::~PeriodicTask() { stop(); }
@@ -109,11 +212,11 @@ void PeriodicTask::stop() {
   pending_ = kInvalidEvent;
 }
 
-void PeriodicTask::arm() {
+void PeriodicTask::arm(std::uint32_t, std::uint64_t) {
   if (!running_) return;
   fn_();
   if (!running_) return;  // fn may have stopped us
-  pending_ = engine_.schedule_in(interval_, [this] { arm(); });
+  pending_ = engine_.schedule_in(interval_, Event{kind_});
 }
 
 }  // namespace lts::sim

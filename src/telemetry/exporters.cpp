@@ -14,9 +14,30 @@ NodeExporter::NodeExporter(sim::Engine& engine, Tsdb& tsdb,
       options_(options),
       rng_(rng),
       load_ema_(options.load_ema_tau),
-      engine_(engine) {
+      engine_(engine),
+      kind_(engine.add_handler<&NodeExporter::deliver>(this)) {
   task_ = std::make_unique<sim::PeriodicTask>(
       engine, options_.scrape_interval, phase, [this] { scrape(); });
+}
+
+NodeExporter::NodeExporter(const NodeExporter& other, sim::Engine& engine,
+                           Tsdb& tsdb, cluster::Cluster& cluster)
+    : tsdb_(tsdb),
+      cluster_(cluster),
+      node_index_(other.node_index_),
+      node_name_(other.node_name_),
+      options_(other.options_),
+      rng_(other.rng_),
+      load_ema_(other.load_ema_),
+      engine_(engine),
+      kind_(other.kind_),
+      task_(std::make_unique<sim::PeriodicTask>(*other.task_, engine,
+                                                [this] { scrape(); })),
+      silenced_(other.silenced_),
+      report_delay_(other.report_delay_),
+      next_report_(other.next_report_),
+      reports_(other.reports_) {
+  engine.rebind_handler<&NodeExporter::deliver>(kind_, this);
 }
 
 void NodeExporter::set_silenced(bool silenced) {
@@ -42,11 +63,10 @@ void NodeExporter::scrape() {
 
   const SimTime now = engine_.now();
   auto& node = cluster_.node(node_index_);
-  const Labels labels{{"node", node_name_}};
 
   // Measure everything now; where the samples land (immediately or after
   // the injected reporting delay) is decided below.
-  std::vector<std::pair<const char*, double>> samples;
+  Samples samples;
   load_ema_.update(now, node.cpu().total_demand());
   samples.emplace_back(kCpuLoadMetric, load_ema_.value());
   samples.emplace_back(kMemAvailableMetric,
@@ -81,9 +101,7 @@ void NodeExporter::scrape() {
   }
 
   if (report_delay_ <= 0.0) {
-    for (const auto& [metric, value] : samples) {
-      tsdb_.append(metric, labels, now, value);
-    }
+    append_samples(now, samples);
     return;
   }
   // Delayed reporting: the samples keep their measurement timestamp but
@@ -92,12 +110,24 @@ void NodeExporter::scrape() {
   // recovers), a fresher sample can land first; the TSDB then drops the
   // late arrivals and counts them in telemetry_out_of_order_dropped_total
   // instead of aborting ingestion.
-  engine_.schedule_in(
-      report_delay_, [this, labels, now, samples = std::move(samples)] {
-        for (const auto& [metric, value] : samples) {
-          tsdb_.append(metric, labels, now, value);
-        }
-      });
+  const std::uint64_t id = next_report_++;
+  reports_.emplace(id, Report{now, std::move(samples)});
+  engine_.schedule_in(report_delay_, sim::Event{kind_, 0, id});
+}
+
+void NodeExporter::append_samples(SimTime measured_at,
+                                  const Samples& samples) {
+  const Labels labels{{"node", node_name_}};
+  for (const auto& [metric, value] : samples) {
+    tsdb_.append(metric, labels, measured_at, value);
+  }
+}
+
+void NodeExporter::deliver(std::uint32_t, std::uint64_t id) {
+  const auto it = reports_.find(id);
+  LTS_ASSERT(it != reports_.end());
+  append_samples(it->second.measured_at, it->second.samples);
+  reports_.erase(it);
 }
 
 PingExporter::PingExporter(sim::Engine& engine, Tsdb& tsdb,
@@ -111,6 +141,16 @@ PingExporter::PingExporter(sim::Engine& engine, Tsdb& tsdb,
   task_ = std::make_unique<sim::PeriodicTask>(
       engine, options_.scrape_interval, phase, [this] { probe(); });
 }
+
+PingExporter::PingExporter(const PingExporter& other, sim::Engine& engine,
+                           Tsdb& tsdb, cluster::Cluster& cluster)
+    : tsdb_(tsdb),
+      cluster_(cluster),
+      options_(other.options_),
+      rng_(other.rng_),
+      engine_(engine),
+      task_(std::make_unique<sim::PeriodicTask>(*other.task_, engine,
+                                                [this] { probe(); })) {}
 
 void PingExporter::probe() {
   const SimTime now = engine_.now();
@@ -149,6 +189,18 @@ TelemetryStack::TelemetryStack(sim::Engine& engine, cluster::Cluster& cluster,
       engine, tsdb_, cluster, options, rng.split(),
       options.scrape_interval * static_cast<double>(n) /
           static_cast<double>(n + 1));
+}
+
+TelemetryStack::TelemetryStack(const TelemetryStack& other,
+                               sim::Engine& engine, cluster::Cluster& cluster)
+    : tsdb_(other.tsdb_),
+      ping_exporter_(std::make_unique<PingExporter>(*other.ping_exporter_,
+                                                    engine, tsdb_, cluster)) {
+  node_exporters_.reserve(other.node_exporters_.size());
+  for (const auto& exporter : other.node_exporters_) {
+    node_exporters_.push_back(
+        std::make_unique<NodeExporter>(*exporter, engine, tsdb_, cluster));
+  }
 }
 
 NodeExporter& TelemetryStack::node_exporter(std::size_t i) {

@@ -13,6 +13,7 @@
 // noisy observations, exactly like the paper's Prometheus pipeline.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,6 +57,11 @@ class NodeExporter {
   NodeExporter(sim::Engine& engine, Tsdb& tsdb, cluster::Cluster& cluster,
                std::size_t node_index, ExporterOptions options, Rng rng,
                SimTime phase);
+  /// A copy of `other` — Rng, load EMA, fault state, reports in flight —
+  /// writing to `tsdb` and scraping `cluster`, with `engine` a copy of
+  /// other's engine.
+  NodeExporter(const NodeExporter& other, sim::Engine& engine, Tsdb& tsdb,
+               cluster::Cluster& cluster);
 
   const std::string& node_name() const { return node_name_; }
 
@@ -74,7 +80,18 @@ class NodeExporter {
   SimTime report_delay() const { return report_delay_; }
 
  private:
+  /// Samples measured at one scrape: (metric, value) pairs.
+  using Samples = std::vector<std::pair<const char*, double>>;
+  /// A delayed report: the samples and their measurement time.
+  struct Report {
+    SimTime measured_at = 0.0;
+    Samples samples;
+  };
+
   void scrape();
+  void append_samples(SimTime measured_at, const Samples& samples);
+  /// Engine handler: lands the delayed report numbered `id`.
+  void deliver(std::uint32_t, std::uint64_t id);
 
   Tsdb& tsdb_;
   cluster::Cluster& cluster_;
@@ -84,9 +101,12 @@ class NodeExporter {
   Rng rng_;
   Ema load_ema_;
   sim::Engine& engine_;
+  sim::Kind kind_;
   std::unique_ptr<sim::PeriodicTask> task_;
   bool silenced_ = false;
   SimTime report_delay_ = 0.0;
+  std::uint64_t next_report_ = 0;
+  std::map<std::uint64_t, Report> reports_;  // in flight, by number
 };
 
 /// Full-mesh RTT prober (one instance covers all ordered node pairs, like a
@@ -95,6 +115,9 @@ class PingExporter {
  public:
   PingExporter(sim::Engine& engine, Tsdb& tsdb, cluster::Cluster& cluster,
                ExporterOptions options, Rng rng, SimTime phase);
+  /// A copy of `other`, as NodeExporter's.
+  PingExporter(const PingExporter& other, sim::Engine& engine, Tsdb& tsdb,
+               cluster::Cluster& cluster);
 
  private:
   void probe();
@@ -113,6 +136,10 @@ class TelemetryStack {
  public:
   TelemetryStack(sim::Engine& engine, cluster::Cluster& cluster,
                  ExporterOptions options, Rng rng);
+  /// A copy of `other` — TSDB and every exporter — scraping `cluster`, with
+  /// `engine` a copy of other's engine.
+  TelemetryStack(const TelemetryStack& other, sim::Engine& engine,
+                 cluster::Cluster& cluster);
 
   Tsdb& tsdb() { return tsdb_; }
   const Tsdb& tsdb() const { return tsdb_; }

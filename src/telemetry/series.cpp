@@ -1,23 +1,30 @@
 #include "telemetry/series.hpp"
 
+#include <algorithm>
+
 namespace lts::telemetry {
 
-Series::Series(std::size_t capacity) : buffer_(capacity) {
+Series::Series(std::size_t capacity) : capacity_(capacity) {
   LTS_REQUIRE(capacity > 0, "Series: capacity must be positive");
 }
 
 bool Series::append(SimTime t, double v) {
-  if (size_ > 0) {
+  if (!buffer_.empty()) {
     const Sample& newest = latest();
     if (t < newest.t) return false;  // late sample, dropped
     if (v < newest.v) decreases_.push_back(Decrease{newest.t, t});
   }
-  const std::size_t pos = (head_ + size_) % buffer_.size();
-  buffer_[pos] = Sample{t, v};
-  if (size_ < buffer_.size()) {
-    ++size_;
+  if (buffer_.size() < capacity_) {
+    // Still filling, so head_ is 0. Growth doubles but never past
+    // capacity_.
+    if (buffer_.size() == buffer_.capacity()) {
+      buffer_.reserve(std::min(capacity_, std::max<std::size_t>(
+                                              16, 2 * buffer_.size())));
+    }
+    buffer_.push_back(Sample{t, v});
   } else {
-    head_ = (head_ + 1) % buffer_.size();
+    buffer_[head_] = Sample{t, v};
+    head_ = (head_ + 1) % capacity_;
     // Drop decrease records whose older endpoint has aged out of the ring.
     const SimTime oldest = at(0).t;
     std::size_t keep_from = 0;
@@ -34,18 +41,18 @@ bool Series::append(SimTime t, double v) {
 }
 
 const Sample& Series::at(std::size_t i) const {
-  LTS_REQUIRE(i < size_, "Series: index out of range");
-  return buffer_[(head_ + i) % buffer_.size()];
+  LTS_REQUIRE(i < buffer_.size(), "Series: index out of range");
+  return buffer_[(head_ + i) % capacity_];
 }
 
 const Sample& Series::latest() const {
-  LTS_REQUIRE(size_ > 0, "Series: empty");
-  return at(size_ - 1);
+  LTS_REQUIRE(!buffer_.empty(), "Series: empty");
+  return at(buffer_.size() - 1);
 }
 
 std::vector<Sample> Series::range(SimTime t_from, SimTime t_to) const {
   std::vector<Sample> out;
-  for (std::size_t i = 0; i < size_; ++i) {
+  for (std::size_t i = 0; i < buffer_.size(); ++i) {
     const Sample& s = at(i);
     if (s.t >= t_from && s.t <= t_to) out.push_back(s);
   }

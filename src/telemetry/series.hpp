@@ -1,7 +1,10 @@
-// A single time series: fixed-capacity ring buffer of (time, value) samples.
+// A single time series: bounded ring buffer of (time, value) samples.
 //
 // Capacity bounds memory like a Prometheus retention window; the scheduler
-// only ever looks at the recent past, so old samples age out silently.
+// only ever looks at the recent past, so old samples age out silently. The
+// buffer allocates nothing until the first append and grows with the series
+// up to capacity, then wraps: a warmed environment holds a few dozen
+// samples per series, so building or copying one stays cheap.
 #pragma once
 
 #include <cstddef>
@@ -27,9 +30,9 @@ class Series {
   /// behavior: one late sample must not kill the whole pipeline.
   bool append(SimTime t, double v);
 
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  std::size_t capacity() const { return buffer_.size(); }
+  std::size_t size() const { return buffer_.size(); }
+  bool empty() const { return buffer_.empty(); }
+  std::size_t capacity() const { return capacity_; }
 
   /// i = 0 is the oldest retained sample.
   const Sample& at(std::size_t i) const;
@@ -53,9 +56,9 @@ class Series {
     SimTime t_curr = 0.0;
   };
 
-  std::vector<Sample> buffer_;
-  std::size_t head_ = 0;  // index of oldest
-  std::size_t size_ = 0;
+  std::size_t capacity_;
+  std::vector<Sample> buffer_;  // grows to capacity_, then wraps
+  std::size_t head_ = 0;        // index of oldest
   std::vector<Decrease> decreases_;  // ordered by t_prev
 };
 

@@ -141,12 +141,4 @@ std::vector<double> ranks_average_ties(std::span<const double> xs) {
   return ranks;
 }
 
-double spearman(std::span<const double> a, std::span<const double> b) {
-  LTS_REQUIRE(a.size() == b.size(), "spearman: size mismatch");
-  if (a.size() < 2) return 0.0;
-  const auto ra = ranks_average_ties(a);
-  const auto rb = ranks_average_ties(b);
-  return pearson(ra, rb);
-}
-
 }  // namespace lts

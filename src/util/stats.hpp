@@ -70,9 +70,6 @@ double percentile(std::span<const double> xs, double q);
 /// Pearson correlation; 0 if either side is constant.
 double pearson(std::span<const double> a, std::span<const double> b);
 
-/// Spearman rank correlation (average ranks for ties).
-double spearman(std::span<const double> a, std::span<const double> b);
-
 /// Ranks with ties averaged, 1-based (rank 1 = smallest).
 std::vector<double> ranks_average_ties(std::span<const double> xs);
 

@@ -318,80 +318,13 @@ TEST(Manifest, ConfEntriesSortedAndQuoted) {
 }  // namespace
 }  // namespace lts::k8s
 
-// ------------------------------------------- anti-affinity + spreading ----
+// ------------------------------------------------------ label counting ----
 
 namespace lts::k8s {
 namespace {
 
 Resources gib2(double cpu, double g) {
   return Resources{cpu, g * 1024 * 1024 * 1024};
-}
-
-TEST(AntiAffinity, PenalizesCoLocation) {
-  ApiServer api;
-  api.register_node("a", gib2(8, 16));
-  api.register_node("b", gib2(8, 16));
-  PodSpec first;
-  first.name = "job-exec-1";
-  first.labels["app"] = "job";
-  api.bind(first, "a");
-
-  PodAntiAffinityScore score(api);
-  PodSpec second;
-  second.labels["app"] = "job";
-  second.anti_affinity = PodAntiAffinity{"app", "job", 1.0};
-  EXPECT_LT(score.score(second, api.node("a")),
-            score.score(second, api.node("b")));
-  // Without the rule, no penalty anywhere.
-  PodSpec plain;
-  EXPECT_DOUBLE_EQ(score.score(plain, api.node("a")), 100.0);
-}
-
-TEST(AntiAffinity, SchedulerSpreadsExecutorsWithPlugin) {
-  ApiServer api;
-  for (int i = 0; i < 3; ++i) {
-    api.register_node("n" + std::to_string(i), gib2(16, 32));
-  }
-  DefaultScheduler scheduler = DefaultScheduler::bare(api, 1);
-  scheduler.add_filter(std::make_unique<NodeResourcesFitFilter>());
-  scheduler.add_score(std::make_unique<PodAntiAffinityScore>(api), 1.0);
-  // Bind five executors sequentially: they must round-robin the nodes.
-  std::map<std::string, int> per_node;
-  for (int e = 0; e < 6; ++e) {
-    PodSpec pod;
-    pod.name = "exec-" + std::to_string(e);
-    pod.requests = gib2(1, 1);
-    pod.labels["app"] = "job";
-    pod.anti_affinity = PodAntiAffinity{"app", "job", 1.0};
-    const auto where = scheduler.schedule(pod);
-    api.bind(pod, where.selected());
-    ++per_node[where.selected()];
-  }
-  for (const auto& [node, count] : per_node) {
-    EXPECT_EQ(count, 2) << node;
-  }
-}
-
-TEST(TopologySpread, EvensAcrossZones) {
-  ApiServer api;
-  api.register_node("a1", gib2(8, 16), {{"topology.kubernetes.io/zone", "A"}});
-  api.register_node("a2", gib2(8, 16), {{"topology.kubernetes.io/zone", "A"}});
-  api.register_node("b1", gib2(8, 16), {{"topology.kubernetes.io/zone", "B"}});
-  // Zone A already hosts two matching pods (one per node).
-  for (const char* node : {"a1", "a2"}) {
-    PodSpec p;
-    p.name = std::string("seed-") + node;
-    p.labels["app"] = "job";
-    api.bind(p, node);
-  }
-  TopologySpreadScore score(api);
-  PodSpec pod;
-  pod.anti_affinity = PodAntiAffinity{"app", "job", 1.0};
-  EXPECT_GT(score.score(pod, api.node("b1")),
-            score.score(pod, api.node("a1")));
-  // Node without a zone label is neutral.
-  api.register_node("nozone", gib2(8, 16));
-  EXPECT_DOUBLE_EQ(score.score(pod, api.node("nozone")), 100.0);
 }
 
 TEST(ApiServer, CountsPodsWithLabel) {

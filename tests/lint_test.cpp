@@ -317,6 +317,16 @@ TEST(LintR8, FlattenedForestKernelIsHotPath) {
   EXPECT_EQ(diags.size(), 2u);
 }
 
+TEST(LintR8, EngineFireIsHotPath) {
+  const std::string text = read_fixture("r8_engine_fire.cpp");
+  const auto diags = lint_text("src/simcore/fixture.cpp", text);
+  EXPECT_TRUE(has_diag(diags, "R8", line_of(text, "std::make_unique<Event>")));
+  EXPECT_TRUE(has_diag(diags, "R8", line_of(text, "std::function<void()> call")));
+  // Engine::closure and the free function fire are off the hot list.
+  EXPECT_EQ(count_rule(diags, "R8"), 2u);
+  EXPECT_EQ(diags.size(), 2u);
+}
+
 // ------------------------------------------------------- cross-file tree ----
 
 TEST(LintTree, CrossFileIndexResolvesCompanionsAndAccess) {

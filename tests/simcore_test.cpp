@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "simcore/engine.hpp"
@@ -214,6 +215,141 @@ TEST(Engine, RunUntilRepeatedNoEvents) {
   engine.run_until(1.0);  // same time: allowed
   EXPECT_THROW(engine.run_until(0.5), Error);
   EXPECT_DOUBLE_EQ(engine.now(), 1.0);
+}
+
+/// A typed-event target for the tests below: records (target, payload)
+/// tagged with its name, so copies and originals can be told apart.
+struct Recorder {
+  Recorder(Engine& engine, std::string name_, std::vector<std::string>& log_)
+      : name(std::move(name_)),
+        log(&log_),
+        kind(engine.add_handler<&Recorder::on_event>(this)) {}
+  void on_event(std::uint32_t target, std::uint64_t payload) {
+    log->push_back(name + ":" + std::to_string(target) + "/" +
+                   std::to_string(payload));
+  }
+  std::string name;
+  std::vector<std::string>* log;
+  Kind kind;
+};
+
+TEST(Engine, StaleIdAfterSlotReuse) {
+  Engine engine;
+  std::vector<std::string> log;
+  Recorder rec(engine, "r", log);
+  const EventId first = engine.schedule_at(1.0, Event{rec.kind, 1, 10});
+  ASSERT_TRUE(engine.cancel(first));
+  // The freed slot is reused; the old handle must not reach the new event.
+  const EventId second = engine.schedule_at(2.0, Event{rec.kind, 2, 20});
+  EXPECT_NE(first, second);
+  EXPECT_EQ(first & 0xffffffffULL, second & 0xffffffffULL);
+  EXPECT_FALSE(engine.pending(first));
+  EXPECT_FALSE(engine.cancel(first));
+  EXPECT_TRUE(engine.pending(second));
+  EXPECT_FALSE(engine.pending(kInvalidEvent));
+  engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"r:2/20"}));
+  EXPECT_FALSE(engine.pending(second));
+  EXPECT_FALSE(engine.cancel(second));
+}
+
+TEST(Engine, TypedAndClosureEventsShareFifoOrder) {
+  Engine engine;
+  std::vector<std::string> log;
+  Recorder rec(engine, "r", log);
+  engine.schedule_at(1.0, Event{rec.kind, 0, 1});
+  engine.schedule_at(1.0, [&] { log.push_back("closure"); });
+  engine.schedule_at(1.0, Event{rec.kind, 0, 2});
+  engine.schedule_at(0.5, Event{rec.kind, 0, 0});
+  EXPECT_EQ(engine.num_pending(), 4u);
+  EXPECT_EQ(engine.num_closures(), 1u);
+  engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"r:0/0", "r:0/1", "closure",
+                                           "r:0/2"}));
+  EXPECT_EQ(engine.num_closures(), 0u);
+}
+
+TEST(Engine, RunUntilClockWithTypedEvents) {
+  Engine engine;
+  std::vector<std::string> log;
+  Recorder rec(engine, "r", log);
+  engine.schedule_at(1.0, Event{rec.kind, 0, 1});
+  engine.schedule_at(3.0, Event{rec.kind, 0, 3});
+  engine.run_until(3.0);  // boundary event fires
+  EXPECT_EQ(log.size(), 2u);
+  EXPECT_DOUBLE_EQ(engine.now(), 3.0);
+  engine.schedule_at(4.0, Event{rec.kind, 0, 4});
+  engine.run_until(3.5);  // clock lands exactly on t, event still queued
+  EXPECT_DOUBLE_EQ(engine.now(), 3.5);
+  EXPECT_EQ(engine.num_pending(), 1u);
+  EXPECT_THROW(engine.run_until(3.0), Error);
+}
+
+TEST(Engine, ClosureRecordsFireOnceOrDiscard) {
+  Engine engine;
+  int fired = 0;
+  const Event a = engine.closure([&] { ++fired; });
+  const Event b = engine.closure([&] { fired += 10; });
+  EXPECT_TRUE(engine.closure(nullptr).empty());
+  EXPECT_EQ(engine.num_closures(), 2u);
+  engine.fire(a);
+  engine.discard(b);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(engine.num_closures(), 0u);
+  // A cancelled closure event releases its closure too.
+  engine.cancel(engine.schedule_in(1.0, [&] { ++fired; }));
+  EXPECT_EQ(engine.num_closures(), 0u);
+  EXPECT_THROW(engine.schedule_in(-1.0, [] {}), Error);
+  EXPECT_EQ(engine.num_closures(), 0u);
+}
+
+TEST(Engine, CopyContinuesTypedQueueOnRebound) {
+  Engine engine;
+  std::vector<std::string> log;
+  Recorder rec(engine, "orig", log);
+  engine.schedule_at(1.0, Event{rec.kind, 0, 1});
+  const EventId cancelled = engine.schedule_at(2.0, Event{rec.kind, 0, 2});
+  engine.schedule_at(3.0, Event{rec.kind, 0, 3});
+  engine.cancel(cancelled);
+  engine.run_until(1.5);
+
+  Engine copy(engine);
+  Recorder rec_copy = rec;
+  rec_copy.name = "copy";
+  copy.rebind_handler<&Recorder::on_event>(rec_copy.kind, &rec_copy);
+  EXPECT_DOUBLE_EQ(copy.now(), 1.5);
+  EXPECT_EQ(copy.num_pending(), engine.num_pending());
+  EXPECT_EQ(copy.num_processed(), engine.num_processed());
+  EXPECT_FALSE(copy.pending(cancelled));
+  copy.run();
+  engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"orig:0/1", "copy:0/3",
+                                           "orig:0/3"}));
+}
+
+TEST(Engine, CopyWithPendingClosureThrows) {
+  Engine engine;
+  const EventId id = engine.schedule_in(1.0, [] {});
+  EXPECT_THROW(Engine{engine}, Error);
+  engine.cancel(id);
+  const Event held = engine.closure([] {});  // e.g. a flow's continuation
+  EXPECT_THROW(Engine{engine}, Error);
+  engine.discard(held);
+  EXPECT_NO_THROW(Engine{engine});
+}
+
+TEST(PeriodicTask, CopyKeepsScheduleOnNewEngine) {
+  Engine engine;
+  std::vector<SimTime> orig_times, copy_times;
+  PeriodicTask task(engine, 2.0, 0.5,
+                    [&] { orig_times.push_back(engine.now()); });
+  engine.run_until(3.0);
+  Engine copy_engine(engine);
+  PeriodicTask copy(task, copy_engine,
+                    [&] { copy_times.push_back(copy_engine.now()); });
+  copy_engine.run_until(9.0);
+  EXPECT_EQ(copy_times, (std::vector<SimTime>{4.5, 6.5, 8.5}));
+  EXPECT_EQ(orig_times, (std::vector<SimTime>{0.5, 2.5}));
 }
 
 TEST(PeriodicTask, TwoTasksInterleaveDeterministically) {

@@ -2,6 +2,9 @@
 // exporters, and snapshot construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cluster/background.hpp"
 #include "cluster/cluster.hpp"
 #include "obs/metrics.hpp"
@@ -58,6 +61,39 @@ TEST(Series, IndexOutOfRangeThrows) {
   Series s(4);
   EXPECT_THROW(s.latest(), Error);
   EXPECT_THROW(s.at(0), Error);
+}
+
+TEST(Series, LazyRingMatchesWindowAcrossWrap) {
+  // The ring grows lazily to its 720-sample bound, then wraps. A counter
+  // that resets twice — once in the part that ages out, once after the
+  // wrap — must read exactly like a plain window of the last 720 samples.
+  Series s;
+  EXPECT_EQ(s.capacity(), 720u);
+  std::vector<Sample> all;
+  double counter = 0.0;
+  for (int i = 0; i < 1000; ++i) {
+    counter = (i == 100 || i == 900) ? 1.0 : counter + 3.0;
+    const Sample sample{0.5 * i, counter};
+    all.push_back(sample);
+    ASSERT_TRUE(s.append(sample.t, sample.v));
+    ASSERT_EQ(s.capacity(), 720u);
+    ASSERT_EQ(s.size(), std::min<std::size_t>(all.size(), 720));
+  }
+  const std::vector<Sample> window(all.end() - 720, all.end());
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    ASSERT_EQ(s.at(i).t, window[i].t);
+    ASSERT_EQ(s.at(i).v, window[i].v);
+  }
+  EXPECT_EQ(s.latest().t, all.back().t);
+  const auto r = s.range(400.0, 460.0);
+  ASSERT_EQ(r.size(), 121u);
+  EXPECT_EQ(r.front().t, 400.0);
+  EXPECT_EQ(r.back().t, 460.0);
+  // The reset at sample 100 (t = 50) aged out with its samples; the one at
+  // sample 900 (between t = 449.5 and t = 450) is still indexed.
+  EXPECT_EQ(s.num_decreases_between(0.0, 1000.0), 1u);
+  EXPECT_EQ(s.num_decreases_between(449.5, 450.0), 1u);
+  EXPECT_EQ(s.num_decreases_between(450.0, 460.0), 0u);
 }
 
 // --------------------------------------------------------------- tsdb ----

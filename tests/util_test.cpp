@@ -202,12 +202,6 @@ TEST(Stats, PearsonPerfectCorrelation) {
   EXPECT_NEAR(pearson(a, c), -1.0, 1e-12);
 }
 
-TEST(Stats, SpearmanMonotone) {
-  std::vector<double> a{1, 2, 3, 4, 5};
-  std::vector<double> b{1, 4, 9, 16, 25};  // monotone, nonlinear
-  EXPECT_NEAR(spearman(a, b), 1.0, 1e-12);
-}
-
 TEST(Stats, RanksAverageTies) {
   std::vector<double> xs{10, 20, 20, 30};
   const auto r = ranks_average_ties(xs);

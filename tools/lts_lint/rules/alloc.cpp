@@ -33,8 +33,11 @@ bool is_hot(const FunctionDef& fd) {
       "best_split",       "build_node",
       "boost_one_round"};
   if (kHot.count(fd.name) > 0) return true;
-  // Engine dispatch: the per-event loop of the simulator itself.
-  return fd.class_name == "Engine" && (fd.name == "step" || fd.name == "run");
+  // Engine dispatch: the per-event loop of the simulator itself, and fire,
+  // which runs every event record it pops (and every flow and CPU-task
+  // continuation).
+  return fd.class_name == "Engine" &&
+         (fd.name == "step" || fd.name == "run" || fd.name == "fire");
 }
 
 }  // namespace
